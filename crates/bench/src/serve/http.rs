@@ -194,58 +194,141 @@ pub fn reason_phrase(status: u16) -> &'static str {
     }
 }
 
-/// Writes one response. `body` is already rendered; the function only
-/// frames it (status line, `Content-Type`, `Content-Length`,
-/// `Connection`).
+/// Frames one response into `frame` (cleared first) and sends it in one
+/// `write`: status line, `Content-Type`, `Content-Length`, `Connection`,
+/// then the already-rendered `body`. One write per response is what
+/// keeps a keep-alive round trip at socket speed: a response split into
+/// small segments leaves the tail waiting on Nagle's algorithm until the
+/// client's delayed ACK arrives (tens of milliseconds).
 pub fn write_response(
     stream: &mut (impl Write + ?Sized),
+    frame: &mut Vec<u8>,
     status: u16,
     content_type: &str,
     body: &str,
     keep_alive: bool,
 ) -> io::Result<()> {
     let connection = if keep_alive { "keep-alive" } else { "close" };
+    frame.clear();
     write!(
-        stream,
+        frame,
         "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: {connection}\r\n\r\n",
         reason_phrase(status),
         body.len(),
     )?;
-    stream.write_all(body.as_bytes())?;
+    frame.extend_from_slice(body.as_bytes());
+    stream.write_all(frame)?;
     stream.flush()
 }
 
 /// Writes the head of a chunked response (`Transfer-Encoding: chunked`,
-/// no `Content-Length`). The connection is dedicated to the stream and
-/// closes when it ends.
+/// no `Content-Length`) in one `write`, framed in `frame`. The
+/// connection is dedicated to the stream and closes when it ends.
 pub fn write_chunked_head(
     stream: &mut (impl Write + ?Sized),
+    frame: &mut Vec<u8>,
     status: u16,
     content_type: &str,
 ) -> io::Result<()> {
+    frame.clear();
     write!(
-        stream,
+        frame,
         "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nTransfer-Encoding: chunked\r\nConnection: close\r\n\r\n",
         reason_phrase(status),
     )?;
+    stream.write_all(frame)?;
     stream.flush()
 }
 
-/// Writes one chunk. Empty payloads are skipped — a zero-length chunk
-/// is the terminator in HTTP chunked framing, which only
-/// [`write_chunked_end`] may emit.
-pub fn write_chunk(stream: &mut (impl Write + ?Sized), data: &str) -> io::Result<()> {
+/// Writes one chunk (size line, data, CRLF) in one `write`, framed in
+/// `frame`. Empty payloads are skipped — a zero-length chunk is the
+/// terminator in HTTP chunked framing, which only [`write_chunked_end`]
+/// may emit.
+pub fn write_chunk(
+    stream: &mut (impl Write + ?Sized),
+    frame: &mut Vec<u8>,
+    data: &str,
+) -> io::Result<()> {
     if data.is_empty() {
         return Ok(());
     }
-    write!(stream, "{:x}\r\n", data.len())?;
-    stream.write_all(data.as_bytes())?;
-    stream.write_all(b"\r\n")?;
+    frame.clear();
+    write!(frame, "{:x}\r\n", data.len())?;
+    frame.extend_from_slice(data.as_bytes());
+    frame.extend_from_slice(b"\r\n");
+    stream.write_all(frame)?;
     stream.flush()
 }
 
-/// Terminates a chunked response.
+/// Terminates a chunked response, in one `write`.
 pub fn write_chunked_end(stream: &mut (impl Write + ?Sized)) -> io::Result<()> {
     stream.write_all(b"0\r\n\r\n")?;
     stream.flush()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A sink that records every `write` call it receives.
+    #[derive(Default)]
+    struct Counting {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for Counting {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Sends `send` into a fresh sink; returns its write count and bytes.
+    fn sent(send: impl FnOnce(&mut Counting) -> io::Result<()>) -> (usize, String) {
+        let mut sink = Counting::default();
+        send(&mut sink).expect("a counting sink never fails");
+        (sink.writes, String::from_utf8(sink.bytes).expect("framing is ASCII"))
+    }
+
+    #[test]
+    fn each_response_chunk_and_terminator_is_one_write() {
+        // A frame buffer reused across calls, as a connection reuses it.
+        let mut frame = b"stale bytes from an earlier response".to_vec();
+        let body = "{\"src\":0,\"dst\":5}";
+        let (writes, bytes) =
+            sent(|s| write_response(s, &mut frame, 200, "application/json", body, true));
+        assert_eq!(writes, 1);
+        assert_eq!(
+            bytes,
+            "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 17\r\n\
+             Connection: keep-alive\r\n\r\n{\"src\":0,\"dst\":5}"
+        );
+        let (writes, bytes) =
+            sent(|s| write_response(s, &mut frame, 404, "application/json", "{}", false));
+        assert_eq!(writes, 1);
+        assert_eq!(
+            bytes,
+            "HTTP/1.1 404 Not Found\r\nContent-Type: application/json\r\nContent-Length: 2\r\n\
+             Connection: close\r\n\r\n{}"
+        );
+
+        let (writes, bytes) = sent(|s| write_chunked_head(s, &mut frame, 200, "text/plain"));
+        assert_eq!(writes, 1);
+        assert_eq!(
+            bytes,
+            "HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\nTransfer-Encoding: chunked\r\n\
+             Connection: close\r\n\r\n"
+        );
+        let event = "seq 1 tick 0 serve-started\n".repeat(2);
+        let (writes, bytes) = sent(|s| write_chunk(s, &mut frame, &event));
+        assert_eq!((writes, bytes), (1, format!("36\r\n{event}\r\n")));
+        assert_eq!(sent(|s| write_chunk(s, &mut frame, "")), (0, String::new()));
+        assert_eq!(sent(write_chunked_end), (1, "0\r\n\r\n".to_string()));
+    }
 }

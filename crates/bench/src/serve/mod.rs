@@ -57,7 +57,7 @@ use std::fmt::Write as _;
 use std::io::{self, BufReader};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, PoisonError, RwLock};
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::time::Duration;
 
 /// What a handler produced: the body is already in the caller's buffer.
@@ -116,7 +116,14 @@ pub struct ServeState {
     seed: u64,
     /// Pristine fault-free table; `/repair` restores this exact `Arc`.
     base: Arc<PathTable>,
+    /// Read by every `/paths`; write-locked only to swap in a table
+    /// that was computed without it.
     live: RwLock<LiveState>,
+    /// Serializes the writers, `/faults` and `/repair`. A fault round
+    /// builds its table from a snapshot of `live` while readers carry on,
+    /// so a second writer must not act between that snapshot and the
+    /// swap, or one of the two updates would be lost.
+    writer: Mutex<()>,
     stop: AtomicBool,
     /// The event journal `/events` serves. Serve-level events publish
     /// here directly; `jellytool serve` additionally installs this as
@@ -168,6 +175,7 @@ impl ServeState {
             }),
             base,
             net,
+            writer: Mutex::new(()),
             stop: AtomicBool::new(false),
             journal,
             ticks: AtomicU64::new(0),
@@ -326,52 +334,67 @@ impl ServeState {
     /// `POST /faults` — applies a fault plan to the live table.
     ///
     /// Body: `{"rate": R, "seed": S}` (a seeded [`FaultPlan`] over the
-    /// intact graph's links) or `{"links": [[u, v], ...]}` (explicit).
-    /// Faults accumulate across calls; affected pairs are immediately
-    /// repaired on the degraded fabric (seeded, deterministic).
+    /// intact graph's links) or `{"links": [[u, v], ...]}` (explicit; each
+    /// pair must be a link of the fabric). Faults accumulate across calls,
+    /// and a link counts once however often or in whichever orientation
+    /// it is posted; affected pairs are immediately repaired on the
+    /// degraded fabric (seeded, deterministic).
+    ///
+    /// The rerouted table is computed from a snapshot, off the read lock:
+    /// `/paths` keeps answering from the old table until the swap.
     fn post_faults(&self, body: &str, out: &mut String) -> Response {
         let parsed = match parse_json(body) {
             Ok(v) => v,
             Err(e) => return error_into(out, 400, &format!("bad JSON body: {e}")),
         };
-        let (new_links, plan_seed) = match fault_request(&parsed, self.net.graph()) {
+        let (links, plan_seed) = match fault_request(&parsed, self.net.graph()) {
             Ok(r) => r,
             Err(msg) => return error_into(out, 400, &msg),
         };
 
-        let mut live = self.live.write().unwrap_or_else(PoisonError::into_inner);
-        // The degraded view reflects *all* faults to date, old and new.
-        let mut view = DegradedGraph::new(self.net.graph());
-        for &(u, v) in live.failed_links.iter().chain(new_links.iter()) {
-            view.fail_link(u, v);
-        }
-        let mut table = (*live.table).clone();
-        let report = table.apply_faults(&view);
-        let affected = report.affected_pairs();
-        let repaired = table.repair(&view, &affected, plan_seed);
-        live.table = Arc::new(table);
-        for &l in &new_links {
-            if !live.failed_links.contains(&l) {
-                live.failed_links.push(l);
+        let _writer = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
+        let (live_table, mut failed) = {
+            let live = self.live.read().unwrap_or_else(PoisonError::into_inner);
+            (Arc::clone(&live.table), live.failed_links.clone())
+        };
+        // The one de-duplication: within this post and against earlier
+        // ones.
+        let already = failed.len();
+        for l in links {
+            if !failed.contains(&l) {
+                failed.push(l);
             }
         }
-        live.fault_rounds += 1;
+        let new_links = failed.len() - already;
+        // The degraded view reflects *all* faults to date, old and new.
+        let mut view = DegradedGraph::new(self.net.graph());
+        for &(u, v) in &failed {
+            view.fail_link(u, v);
+        }
+        // `live_table` outlives the swap, so the table it replaces is
+        // freed after the write lock is released, not under it.
+        let (table, report, repaired) = live_table.rerouted(&view, plan_seed);
+        let total_links = failed.len();
+        {
+            let mut live = self.live.write().unwrap_or_else(PoisonError::into_inner);
+            live.table = Arc::new(table);
+            live.failed_links = failed;
+            live.fault_rounds += 1;
+        }
         self.publish(EventKind::ServeFaultRound {
-            new_links: new_links.len() as u64,
-            total_links: live.failed_links.len() as u64,
-            affected_pairs: affected.len() as u64,
+            new_links: new_links as u64,
+            total_links: total_links as u64,
+            affected_pairs: report.affected.len() as u64,
             repaired_pairs: repaired as u64,
             disconnected_pairs: report.disconnected_pairs as u64,
         });
         let _ = write!(
             out,
-            "{{\"new_failed_links\":{},\"total_failed_links\":{},\"affected_pairs\":{},\
-             \"paths_removed\":{},\"repaired_pairs\":{},\"disconnected_pairs\":{}}}",
-            new_links.len(),
-            live.failed_links.len(),
-            affected.len(),
+            "{{\"new_failed_links\":{new_links},\"total_failed_links\":{total_links},\
+             \"affected_pairs\":{},\"paths_removed\":{},\"repaired_pairs\":{repaired},\
+             \"disconnected_pairs\":{}}}",
+            report.affected.len(),
             report.paths_removed,
-            repaired,
             report.disconnected_pairs,
         );
         Response::json(200)
@@ -381,11 +404,13 @@ impl ServeState {
     /// base table (the exact startup `Arc`, so `/paths` bodies return
     /// to their byte-identical pre-fault form).
     fn post_repair(&self, out: &mut String) -> Response {
+        let _writer = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
         let mut live = self.live.write().unwrap_or_else(PoisonError::into_inner);
         let cleared = live.failed_links.len();
         live.failed_links.clear();
         live.table = Arc::clone(&self.base);
         live.repair_rounds += 1;
+        drop(live);
         self.publish(EventKind::ServeRepaired { cleared_links: cleared as u64 });
         let _ = write!(out, "{{\"restored\":true,\"cleared_links\":{cleared}}}");
         Response::json(200)
@@ -601,14 +626,19 @@ impl EventsQuery {
     }
 }
 
-/// Parses a `POST /faults` body into the links to fail plus the seed
-/// used for the deterministic repair pass.
+/// Parses a `POST /faults` body into the links to fail, each as
+/// `(min, max)` (`post_faults` drops repeats), plus the seed used for the
+/// deterministic repair pass. An explicit pair that is not a link of
+/// `graph` is an error: failing it would change nothing, yet it would
+/// count as a failed link.
 fn fault_request(body: &JsonValue, graph: &Graph) -> Result<(Vec<(NodeId, NodeId)>, u64), String> {
+    let mut out: Vec<(NodeId, NodeId)> = Vec::new();
+    let mut add = |(u, v): (NodeId, NodeId)| out.push((u.min(v), u.max(v)));
     if let Some(links) = body.get("links") {
         let Some(list) = links.as_array() else {
             return Err("\"links\" must be an array of [u, v] pairs".into());
         };
-        let mut out = Vec::with_capacity(list.len());
+        let n = graph.num_nodes();
         for pair in list {
             let parsed = pair.as_array().and_then(|uv| {
                 if uv.len() != 2 {
@@ -618,10 +648,13 @@ fn fault_request(body: &JsonValue, graph: &Graph) -> Result<(Vec<(NodeId, NodeId
                 let v = node_id(&uv[1])?;
                 (u != v).then_some((u, v))
             });
-            match parsed {
-                Some(l) => out.push(l),
-                None => return Err("each link must be a [u, v] pair of distinct ids".into()),
+            let Some((u, v)) = parsed else {
+                return Err("each link must be a [u, v] pair of distinct ids".into());
+            };
+            if u as usize >= n || v as usize >= n || !graph.has_edge(u, v) {
+                return Err(format!("[{u}, {v}] is not a link of the fabric"));
             }
+            add((u, v));
         }
         let seed = body.get("seed").and_then(JsonValue::as_f64).unwrap_or(0.0) as u64;
         return Ok((out, seed));
@@ -636,16 +669,12 @@ fn fault_request(body: &JsonValue, graph: &Graph) -> Result<(Vec<(NodeId, NodeId
         return Err("seeded fault plans need a \"seed\"".into());
     };
     let seed = seed as u64;
-    let plan = FaultPlan::random_links(graph, rate, 0, seed);
-    let links = plan
-        .events()
-        .iter()
-        .filter_map(|ev| match ev.kind {
-            jellyfish_topology::FaultKind::Link { u, v } => Some((u, v)),
-            jellyfish_topology::FaultKind::Switch { .. } => None,
-        })
-        .collect();
-    Ok((links, seed))
+    for ev in FaultPlan::random_links(graph, rate, 0, seed).events() {
+        if let jellyfish_topology::FaultKind::Link { u, v } = ev.kind {
+            add((u, v));
+        }
+    }
+    Ok((out, seed))
 }
 
 fn node_id(v: &JsonValue) -> Option<NodeId> {
@@ -719,17 +748,31 @@ pub fn run(state: Arc<ServeState>, listener: TcpListener) -> io::Result<()> {
 /// Serves one connection until close, error, or shutdown. After
 /// answering `POST /shutdown` it pokes the accept loop awake with a
 /// throwaway local connection so [`run`] observes the stop flag.
+///
+/// Every response leaves in one `write` from the connection's reused
+/// frame buffer, on a socket with Nagle's algorithm off (`TCP_NODELAY`):
+/// each answer is complete when written, so holding it back for more
+/// bytes only adds the client's delayed-ACK timeout to every round trip.
 fn handle_connection(state: &ServeState, stream: TcpStream, addr: std::net::SocketAddr) {
+    let _ = stream.set_nodelay(true);
     let mut reader = BufReader::new(&stream);
     let mut writer = &stream;
     let mut out = String::with_capacity(4096);
+    let mut frame = Vec::with_capacity(4096);
     loop {
         let request = match http::read_request(&mut reader) {
             Ok(Ok(Some(r))) => r,
             Ok(Ok(None)) | Err(_) => break,
             Ok(Err(e)) => {
                 let resp = error_into(&mut out, e.status, &e.reason);
-                let _ = http::write_response(&mut writer, resp.status, CT_JSON, &out, false);
+                let _ = http::write_response(
+                    &mut writer,
+                    &mut frame,
+                    resp.status,
+                    CT_JSON,
+                    &out,
+                    false,
+                );
                 break;
             }
         };
@@ -737,11 +780,19 @@ fn handle_connection(state: &ServeState, stream: TcpStream, addr: std::net::Sock
         if resp.stream {
             // `GET /events?follow=1`: the connection becomes a chunked
             // event stream until the client hangs up or the daemon stops.
-            let _ = stream_events(state, &mut writer, &request.target);
+            let _ = stream_events(state, &mut writer, &mut frame, &request.target);
             break;
         }
         let keep = request.keep_alive && !resp.shutdown;
-        if http::write_response(&mut writer, resp.status, resp.content_type, &out, keep).is_err() {
+        let sent = http::write_response(
+            &mut writer,
+            &mut frame,
+            resp.status,
+            resp.content_type,
+            &out,
+            keep,
+        );
+        if sent.is_err() {
             break;
         }
         if resp.shutdown {
@@ -772,12 +823,13 @@ const STREAM_HEARTBEAT_POLLS: u32 = 40;
 fn stream_events(
     state: &ServeState,
     writer: &mut (impl io::Write + ?Sized),
+    frame: &mut Vec<u8>,
     target: &str,
 ) -> io::Result<()> {
     // Dispatch validated the query already; re-derive the cursor.
     let query = target.split_once('?').map(|(_, q)| q);
     let mut cursor = EventsQuery::parse(query).map(|q| q.since).unwrap_or(0);
-    http::write_chunked_head(writer, 200, CT_EVENTS)?;
+    http::write_chunked_head(writer, frame, 200, CT_EVENTS)?;
 
     let mut buf = String::with_capacity(1024);
     buf.push_str(jellyfish_obs::journal::EVENTS_HEADER);
@@ -790,7 +842,7 @@ fn stream_events(
         jellyfish_obs::journal::render_event(ev, &mut buf);
     }
     cursor = cursor.max(first.last_seq);
-    http::write_chunk(writer, &buf)?;
+    http::write_chunk(writer, frame, &buf)?;
 
     let mut idle_polls = 0u32;
     let mut saw_stopping = first.events.iter().any(|e| matches!(e.kind, EventKind::ServeStopping));
@@ -803,7 +855,7 @@ fn stream_events(
             idle_polls += 1;
             if idle_polls >= STREAM_HEARTBEAT_POLLS {
                 idle_polls = 0;
-                http::write_chunk(writer, "\n")?;
+                http::write_chunk(writer, frame, "\n")?;
             }
             continue;
         }
@@ -814,7 +866,7 @@ fn stream_events(
             jellyfish_obs::journal::render_event(ev, &mut buf);
         }
         cursor = drain.last_seq;
-        http::write_chunk(writer, &buf)?;
+        http::write_chunk(writer, frame, &buf)?;
     }
     // The stop flag flips a beat before `serve-stopping` is published;
     // a streamer that broke in that window would truncate the tail. One
@@ -826,7 +878,7 @@ fn stream_events(
             for ev in &tail.events {
                 jellyfish_obs::journal::render_event(ev, &mut buf);
             }
-            http::write_chunk(writer, &buf)?;
+            http::write_chunk(writer, frame, &buf)?;
         }
     }
     http::write_chunked_end(writer)

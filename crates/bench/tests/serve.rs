@@ -175,6 +175,7 @@ fn malformed_requests_are_4xx_never_panics() {
         ("POST", "/faults", "{\"links\":[[0]]}"),
         ("POST", "/faults", "{\"links\":[[0,0]]}"),
         ("POST", "/faults", "{\"links\":[[0,\"x\"]]}"),
+        ("POST", "/faults", "{\"links\":[[0,99999]]}"),
         // /events query-string corpus: bad cursors, bad keys, bad
         // shapes — every one is a 4xx, never a panic or a hang.
         ("POST", "/events", ""),
@@ -195,8 +196,12 @@ fn malformed_requests_are_4xx_never_panics() {
         ("GET", "/events?follow=", ""),
         ("GET", "/events?since=0&&wait_ms=1", ""),
     ];
+    // A pair of switches that is not a link of the fabric.
+    let w = (1..16).find(|&w| !st.graph().has_edge(0, w)).expect("a sparse fabric has non-links");
+    let non_link = format!("{{\"links\":[[0,{w}]]}}");
+    let cases = cases.iter().copied().chain([("POST", "/faults", non_link.as_str())]);
     let mut out = String::new();
-    for &(method, target, body) in cases {
+    for (method, target, body) in cases {
         let resp = st.dispatch(method, target, body, &mut out);
         assert!(
             (400..500).contains(&resp.status),
@@ -210,6 +215,99 @@ fn malformed_requests_are_4xx_never_panics() {
     // The daemon still serves after the whole corpus.
     let (status, _) = get(&st, "/paths/0/1");
     assert_eq!(status, 200);
+}
+
+fn field(body: &str, name: &str) -> Option<f64> {
+    parse_json(body).ok()?.get(name)?.as_f64()
+}
+
+/// Regression: `/faults` stored links as posted, so `[[u,v],[v,u]]`
+/// counted as two failed links, and a pair that is not a link (which
+/// failing silently ignores) still counted in `total_failed_links`, in
+/// `/healthz` and in the `serve-fault-round` event.
+#[test]
+fn fault_links_count_once_and_must_be_links() {
+    let st = state();
+    let (u, v) = (0u32, st.graph().neighbors(0)[0]);
+    let (status, body) = post(&st, "/faults", &format!("{{\"links\":[[{u},{v}],[{v},{u}]]}}"));
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(field(&body, "new_failed_links"), Some(1.0), "{body}");
+    assert_eq!(field(&body, "total_failed_links"), Some(1.0), "{body}");
+    // Posting the same link again fails nothing new.
+    let (status, body) = post(&st, "/faults", &format!("{{\"links\":[[{v},{u}]]}}"));
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(field(&body, "new_failed_links"), Some(0.0), "{body}");
+    assert_eq!(field(&body, "total_failed_links"), Some(1.0), "{body}");
+    // A pair that is not a link is refused and counts nowhere.
+    let w = (1..16).find(|&w| !st.graph().has_edge(0, w)).expect("a sparse fabric has non-links");
+    let (status, body) = post(&st, "/faults", &format!("{{\"links\":[[0,{w}]]}}"));
+    assert_eq!(status, 400, "{body}");
+    let (_, health) = get(&st, "/healthz");
+    assert_eq!(field(&health, "failed_links"), Some(1.0), "{health}");
+    assert_eq!(field(&health, "fault_rounds"), Some(2.0), "{health}");
+}
+
+/// Every `/paths` body of a 16-switch daemon, in pair order.
+fn all_paths(st: &ServeState) -> Vec<String> {
+    let mut bodies = Vec::new();
+    for src in 0..16 {
+        for dst in (0..16).filter(|&d| d != src) {
+            let (status, body) = get(st, &format!("/paths/{src}/{dst}"));
+            assert_eq!(status, 200, "{body}");
+            bodies.push(body);
+        }
+    }
+    bodies
+}
+
+/// Fault rounds are computed off the read lock, so two `/faults` posts
+/// can race. The writer lock serializes them: they must accumulate
+/// exactly as the same two posts made one after the other, in the order
+/// the daemon took them (the one that reports a single failed link went
+/// first).
+#[test]
+fn concurrent_fault_posts_accumulate_like_sequential_ones() {
+    let probe = state();
+    let g = probe.graph();
+    let a = (0u32, g.neighbors(0)[0]);
+    let b = (8u32, *g.neighbors(8).iter().find(|&&x| x != 0 && x != a.1).expect("degree 5"));
+    let bodies = [
+        format!("{{\"links\":[[{},{}]],\"seed\":3}}", a.0, a.1),
+        format!("{{\"links\":[[{},{}]],\"seed\":5}}", b.0, b.1),
+    ];
+    for _ in 0..3 {
+        let st = state();
+        let barrier = std::sync::Barrier::new(2);
+        let totals: Vec<f64> = std::thread::scope(|s| {
+            let handles: Vec<_> = bodies
+                .iter()
+                .map(|body| {
+                    let (st, barrier) = (&st, &barrier);
+                    s.spawn(move || {
+                        barrier.wait();
+                        let (status, answer) = post(st, "/faults", body);
+                        assert_eq!(status, 200, "{answer}");
+                        field(&answer, "total_failed_links").expect("a count")
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().expect("poster")).collect()
+        });
+        let first = match totals[..] {
+            [1.0, 2.0] => 0,
+            [2.0, 1.0] => 1,
+            _ => panic!("racing posts lost an update: totals {totals:?}"),
+        };
+        let sequential = state();
+        for body in [&bodies[first], &bodies[1 - first]] {
+            assert_eq!(post(&sequential, "/faults", body).0, 200);
+        }
+        let (_, health) = get(&st, "/healthz");
+        let (_, expected) = get(&sequential, "/healthz");
+        assert_eq!(field(&health, "failed_links"), Some(2.0), "{health}");
+        assert_eq!(field(&health, "failed_links"), field(&expected, "failed_links"));
+        assert_eq!(all_paths(&st), all_paths(&sequential));
+    }
 }
 
 /// The determinism contract: for a fixed seed, every `/paths` body is

@@ -29,14 +29,14 @@
 //!   entries sorted ascending by (s, d), each:
 //!     s u32, d u32, path_count u32,
 //!     then per path: varint node_count,
-//!     then: varint stream_len, stream_len bytes of the [`PathSet`]
+//!     then: varint stream_len, stream_len bytes of the set's
 //!     shared-prefix + zigzag-varint node stream
 //! footer:
 //!   checksum u64      FNV-1a over every preceding byte
 //! ```
 //!
-//! v2 replaces v1's raw `u32`-per-node path payload with the compact
-//! [`PathSet`] stream (shared-prefix + delta encoding), roughly a 3×
+//! v2 replaces v1's raw `u32`-per-node path payload with that compact
+//! node stream (shared-prefix + delta encoding), roughly a 3×
 //! shrink for all-pairs k-path tables; v1 files are rejected with
 //! [`CacheError::BadVersion`] and transparently recomputed.
 //!
@@ -79,13 +79,13 @@
 //!   abandons the flight; waiting followers retry and one of them becomes
 //!   the new leader.
 
-use crate::table::{PairSet, PathSelection, PathTable};
+use crate::table::{decode_record_into, PairSet, PathSelection, PathTable, TableBuilder};
 use crate::LlskrConfig;
 use jellyfish_topology::{Graph, NodeId};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
-use std::io;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError, RwLock};
@@ -133,12 +133,17 @@ impl From<io::Error> for CacheError {
     }
 }
 
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
 /// 64-bit FNV-1a over a byte slice (same constants as
 /// [`Graph::fingerprint`]).
 fn fnv1a(bytes: &[u8]) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a_extend(FNV_OFFSET, bytes)
+}
+
+/// Continues an FNV-1a hash `h` over `bytes`.
+fn fnv1a_extend(mut h: u64, bytes: &[u8]) -> u64 {
     const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = FNV_OFFSET;
     for &b in bytes {
         h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
     }
@@ -265,41 +270,70 @@ fn decode_selection(tag: u8, p: [u64; 3]) -> Result<PathSelection, CacheError> {
 /// Serializes `table` under `key` to `jellyfish-ptab v2` bytes.
 ///
 /// Entries are emitted sorted by `(s, d)`, so identical tables produce
-/// identical bytes independent of thread count or hash-map iteration
-/// order. The per-entry payload is the compact [`crate::PathSet`] stream,
-/// computed on the fly for flat sets — the encoding is a pure function of
-/// path content, so flat and compact tables serialize to identical bytes.
+/// identical bytes independent of thread count. The per-entry payload is
+/// the shared-prefix + delta stream of the set's node run, a pure
+/// function of path content.
 pub fn encode_table(table: &PathTable, key: &CacheKey) -> Vec<u8> {
-    use crate::table::write_varint;
+    let mut out = Vec::new();
+    encode_table_to(table, key, &mut out).expect("writing to a Vec cannot fail");
+    out
+}
+
+/// [`encode_table`] streamed to `out` in pieces of at most
+/// [`WRITE_CHUNK`] bytes, so storing a table never holds the whole file
+/// in memory. Returns the number of bytes written.
+pub fn encode_table_to(table: &PathTable, key: &CacheKey, out: &mut impl Write) -> io::Result<u64> {
+    use crate::table::{encode_stream_into, write_varint};
     let _span = jellyfish_obs::span("routing.cache.serialize");
     debug_assert_eq!(
         table.is_dense(),
         key.pair_tag == 0,
         "dense storage must coincide with the all-pairs key tag"
     );
-    let entries = table.cache_entries();
-    let mut out = Vec::with_capacity(64 + entries.len() * 16);
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&VERSION.to_le_bytes());
-    key.encode_into(&mut out);
-    out.extend_from_slice(&(entries.len() as u64).to_le_bytes());
-    for (s, d, set) in entries {
-        out.extend_from_slice(&s.to_le_bytes());
-        out.extend_from_slice(&d.to_le_bytes());
-        out.extend_from_slice(&(set.len() as u32).to_le_bytes());
-        let (ends, stream) = set.compact_parts();
+    let (mut hash, mut written) = (FNV_OFFSET, 0u64);
+    let mut flush = |buf: &mut Vec<u8>| {
+        hash = fnv1a_extend(hash, buf);
+        written += buf.len() as u64;
+        let sent = out.write_all(buf);
+        buf.clear();
+        sent
+    };
+    let mut buf = Vec::with_capacity(WRITE_CHUNK + 1024);
+    buf.extend_from_slice(&MAGIC);
+    buf.extend_from_slice(&VERSION.to_le_bytes());
+    key.encode_into(&mut buf);
+    buf.extend_from_slice(&(table.cache_entries().count() as u64).to_le_bytes());
+    let mut stream = Vec::new();
+    for (s, d, set) in table.cache_entries() {
+        buf.extend_from_slice(&s.to_le_bytes());
+        buf.extend_from_slice(&d.to_le_bytes());
+        buf.extend_from_slice(&(set.len() as u32).to_le_bytes());
+        let (ends, nodes) = set.parts();
         let mut lo = 0u32;
-        for &e in &ends {
-            write_varint(&mut out, (e - lo) as u64);
+        for &e in ends {
+            write_varint(&mut buf, (e - lo) as u64);
             lo = e;
         }
-        write_varint(&mut out, stream.len() as u64);
-        out.extend_from_slice(&stream);
+        stream.clear();
+        encode_stream_into(nodes, ends, &mut stream);
+        write_varint(&mut buf, stream.len() as u64);
+        buf.extend_from_slice(&stream);
+        if buf.len() >= WRITE_CHUNK {
+            flush(&mut buf)?;
+        }
     }
-    let checksum = fnv1a(&out);
-    out.extend_from_slice(&checksum.to_le_bytes());
-    out
+    // The tail and the checksum go out in one write.
+    let hash = fnv1a_extend(hash, &buf);
+    buf.extend_from_slice(&hash.to_le_bytes());
+    out.write_all(&buf)?;
+    Ok(written + buf.len() as u64)
 }
+
+/// The smallest encoded entry: pair ids, path count, stream length.
+const MIN_ENTRY_BYTES: usize = 4 + 4 + 4 + 1;
+
+/// Bytes [`encode_table_to`] buffers between writes.
+const WRITE_CHUNK: usize = 64 * 1024;
 
 /// Bounds-checked little-endian reader over untrusted bytes.
 struct Cursor<'a> {
@@ -388,8 +422,9 @@ fn read_key(cur: &mut Cursor<'_>) -> Result<CacheKey, CacheError> {
 /// endpoints must equal the entry's pair, entries must be strictly sorted,
 /// every compact stream must decode exactly and no trailing bytes may
 /// remain. Returns [`CacheError`] on any violation — this function never
-/// panics on untrusted input. Decoded tables use the flat layout, so a
-/// round trip is indistinguishable from the in-memory computation.
+/// panics on untrusted input. Each entry decodes straight into the
+/// table's record arena, so a round trip is indistinguishable from the
+/// in-memory computation.
 pub fn decode_table(bytes: &[u8]) -> Result<(CacheKey, PathTable), CacheError> {
     let _span = jellyfish_obs::span("routing.cache.deserialize");
     let mut cur = verify_envelope(bytes)?;
@@ -404,7 +439,13 @@ pub fn decode_table(bytes: &[u8]) -> Result<(CacheKey, PathTable), CacheError> {
     if key.pair_tag == 0 && entry_count != key.n * key.n.saturating_sub(1) {
         return Err(CacheError::Corrupt("all-pairs table with wrong entry count"));
     }
-    let mut entries: Vec<((NodeId, NodeId), crate::table::PathSet)> = Vec::new();
+    // Every entry takes at least `MIN_ENTRY_BYTES`, so a count the rest
+    // of the file cannot hold is refused before anything is sized by it.
+    if entry_count > ((cur.buf.len() - cur.pos) / MIN_ENTRY_BYTES) as u64 {
+        return Err(CacheError::Truncated);
+    }
+    let mut table = TableBuilder::new(n, key.pair_tag == 0);
+    let mut ends: Vec<u32> = Vec::new();
     let mut prev: Option<(NodeId, NodeId)> = None;
     for _ in 0..entry_count {
         let s = cur.u32()?;
@@ -420,7 +461,7 @@ pub fn decode_table(bytes: &[u8]) -> Result<(CacheKey, PathTable), CacheError> {
         if path_count as u64 > key.n.saturating_mul(key.n) {
             return Err(CacheError::Corrupt("implausible path count"));
         }
-        let mut ends: Vec<u32> = Vec::with_capacity(path_count as usize);
+        ends.clear();
         let mut total = 0u64;
         for _ in 0..path_count {
             let len = cur.varint()?;
@@ -434,26 +475,29 @@ pub fn decode_table(bytes: &[u8]) -> Result<(CacheKey, PathTable), CacheError> {
             ends.push(total as u32);
         }
         let stream_len = cur.varint()? as usize;
-        let stream = cur.take(stream_len)?.to_vec();
-        let Some(set) = crate::table::PathSet::from_compact_parts(ends, stream) else {
-            return Err(CacheError::Corrupt("compact path stream does not decode"));
-        };
-        let paths = set.decode_paths();
-        for path in &paths {
-            if path.iter().any(|&v| v as usize >= n) {
+        let stream = cur.take(stream_len)?;
+        table.push_with((s, d), |records| {
+            let start = records.len();
+            decode_record_into(records, &ends, stream)
+                .ok_or(CacheError::Corrupt("compact path stream does not decode"))?;
+            let nodes = &records[start + 1 + ends.len()..];
+            if nodes.iter().any(|&v| v as usize >= n) {
                 return Err(CacheError::Corrupt("path node out of range"));
             }
-            if path[0] != s || *path.last().expect("len >= 2") != d {
-                return Err(CacheError::Corrupt("path endpoints disagree with pair"));
+            let mut lo = 0usize;
+            for &e in &ends {
+                if nodes[lo] != s || nodes[e as usize - 1] != d {
+                    return Err(CacheError::Corrupt("path endpoints disagree with pair"));
+                }
+                lo = e as usize;
             }
-        }
-        entries.push(((s, d), crate::table::PathSet::from_paths(&paths)));
+            Ok(())
+        })?;
     }
     if cur.pos != cur.buf.len() {
         return Err(CacheError::Corrupt("trailing bytes after last entry"));
     }
-    let table = PathTable::from_cache_entries(selection, n, entries, key.pair_tag == 0);
-    Ok((key, table))
+    Ok((key, table.finish(selection)))
 }
 
 /// Aggregate on-disk cache statistics.
@@ -808,9 +852,8 @@ impl PathCache {
         self.counters.computes.fetch_add(1, Ordering::Relaxed);
         jellyfish_obs::global().counter_add("routing.cache.misses", 1);
         let table = Arc::new(PathTable::compute(graph, selection, pairs, seed));
-        let bytes = encode_table(&table, key);
-        if self.write_atomic(&path, &bytes).is_ok() {
-            jellyfish_obs::global().counter_add("routing.cache.bytes_written", bytes.len() as u64);
+        if let Ok(bytes) = self.write_atomic(&path, |file| encode_table_to(&table, key, file)) {
+            jellyfish_obs::global().counter_add("routing.cache.bytes_written", bytes);
             self.enforce_disk_budget(&path);
         } else {
             jellyfish_obs::global().counter_add("routing.cache.io_errors", 1);
@@ -875,10 +918,15 @@ impl PathCache {
 
     /// Write-then-rename so concurrent processes sharing the directory
     /// never observe a half-written file.
-    fn write_atomic(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+    fn write_atomic(
+        &self,
+        path: &Path,
+        write: impl FnOnce(&mut std::fs::File) -> io::Result<u64>,
+    ) -> io::Result<u64> {
         let tmp = path.with_extension(format!("tmp{}", std::process::id()));
-        std::fs::write(&tmp, bytes)?;
-        std::fs::rename(&tmp, path)
+        let bytes = write(&mut std::fs::File::create(&tmp)?)?;
+        std::fs::rename(&tmp, path)?;
+        Ok(bytes)
     }
 
     fn lru_get(&self, key: &CacheKey) -> Option<Arc<PathTable>> {
@@ -1108,6 +1156,42 @@ mod tests {
         let mid = flipped.len() / 2;
         flipped[mid] ^= 0x01;
         assert!(matches!(decode_table(&flipped), Err(CacheError::BadChecksum)));
+    }
+
+    /// Regression: the all-pairs decoder sizes its slot index by `n^2`,
+    /// so a checksum-valid file claiming a huge fabric and the matching
+    /// entry count, but holding no entries, must be refused before that
+    /// allocation.
+    #[test]
+    fn implausible_entry_count_is_refused_before_allocating() {
+        let g = small_graph();
+        let mut key = CacheKey::new(&g, PathSelection::Ksp(2), &PairSet::AllPairs, 0);
+        key.n = 1 << 31;
+        key.pair_count = key.n * (key.n - 1);
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&VERSION.to_le_bytes());
+        key.encode_into(&mut bytes);
+        bytes.extend_from_slice(&key.pair_count.to_le_bytes());
+        let checksum = fnv1a(&bytes);
+        bytes.extend_from_slice(&checksum.to_le_bytes());
+        assert!(matches!(decode_table(&bytes), Err(CacheError::Truncated)));
+    }
+
+    /// A store streams the same bytes `encode_table` returns, across
+    /// several write chunks.
+    #[test]
+    fn stored_file_is_the_encoded_table() {
+        use jellyfish_topology::{build_rrg, ConstructionMethod, RrgParams};
+        let dir = tmp_dir("stream");
+        let g = build_rrg(RrgParams::new(96, 8, 5), ConstructionMethod::Incremental, 2).unwrap();
+        let (sel, pairs) = (PathSelection::REdKsp(3), PairSet::AllPairs);
+        let cache = PathCache::new(&dir).unwrap();
+        let table = cache.load_or_compute(&g, sel, &pairs, 4);
+        let key = CacheKey::new(&g, sel, &pairs, 4);
+        let stored = std::fs::read(dir.join(key.file_name())).unwrap();
+        assert!(stored.len() > 2 * WRITE_CHUNK);
+        assert_eq!(stored, encode_table(&table, &key));
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //! [`PathSelection`] names a path-selection scheme from the paper;
 //! [`PathTable::compute`] evaluates it — in parallel across pairs — for
 //! either all ordered switch pairs or an explicit pair list, and stores the
-//! result compactly ([`PathSet`] keeps each pair's paths in one flat
-//! buffer). Randomized schemes derive an independent RNG per pair from the
-//! table seed, so results do not depend on scheduling order.
+//! result in one record arena (each pair's [`PathSet`] is a borrowed view
+//! of one record). Randomized schemes derive an independent RNG per pair
+//! from the table seed, so results do not depend on scheduling order.
 
 use crate::bfs::{shortest_path_with, TieBreak};
 use crate::disjoint::edge_disjoint_paths_with;
@@ -18,7 +18,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// A single path as a node sequence `[src, ..., dst]`.
 pub type Path = Vec<NodeId>;
@@ -157,131 +156,111 @@ impl PairSet {
 
 /// The paths of one ordered pair.
 ///
-/// Two storage layouts sit behind one API. The *flat* layout keeps all
-/// nodes in one buffer and serves borrowed `&[NodeId]` slices in O(1) —
-/// the hot layout the simulators consume. The *compact* layout
-/// (shared-prefix + zigzag-varint delta encoding, the same stream the
-/// `jellyfish-ptab v2` cache persists) costs roughly a third of the flat
-/// bytes at N=1024 and keeps the metadata accessors (`len`, `hops`,
-/// `max_hops`, `shortest_index`) O(1) via the retained end-offset table;
-/// full node sequences are recovered with [`PathSet::decode_paths`] or
-/// [`PathSet::to_flat`]. Only [`PathSet::path`]/[`PathSet::iter`] require
-/// the flat layout (they hand out borrowed slices, which a compressed
-/// stream cannot back) and panic on compact sets — decompress the table
-/// before handing it to a simulator.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct PathSet {
-    repr: Repr,
-}
-
-#[derive(Debug, Clone, Serialize, Deserialize)]
-enum Repr {
-    Flat {
-        nodes: Vec<NodeId>,
-        /// End offset (exclusive) of each path within `nodes`.
-        ends: Vec<u32>,
-    },
-    Compact {
-        /// Same end-offset semantics as `Flat::ends`, kept so `len`,
-        /// `hops` and friends stay O(1) without touching the stream.
-        ends: Box<[u32]>,
-        /// Shared-prefix + zigzag-varint node stream (see
-        /// [`PathSet::encode_stream_into`]).
-        bytes: Box<[u8]>,
-    },
-}
-
-impl Default for PathSet {
-    fn default() -> Self {
-        Self { repr: Repr::Flat { nodes: Vec::new(), ends: Vec::new() } }
-    }
-}
-
-/// Equality is over path *content*, not storage layout: a compact set
-/// equals its flat twin, so cache round trips and streaming builds
-/// compare clean against direct computation.
-impl PartialEq for PathSet {
-    fn eq(&self, other: &Self) -> bool {
-        match (&self.repr, &other.repr) {
-            (Repr::Flat { nodes: a, ends: ea }, Repr::Flat { nodes: b, ends: eb }) => {
-                a == b && ea == eb
-            }
-            _ => self.ends() == other.ends() && self.decode_nodes() == other.decode_nodes(),
-        }
-    }
-}
-
-impl Eq for PathSet {}
+/// A `PathSet` is an unsized view over one *record*
+/// `[k, end_1, ..., end_k, nodes...]`: the path count, the exclusive end
+/// offset of each path within the node run, then the concatenated node
+/// sequences. It stands to a record as `str` stands to UTF-8 bytes. A
+/// [`PathTable`] keeps every pair's record back to back in one arena and
+/// lends out `&PathSet`, and each path as a borrowed `&[NodeId]`, in O(1).
+/// Owned sets, built by [`PathSet::from_paths`], are `Box<PathSet>`.
+///
+/// Equality is record equality, which is path-content equality: a list
+/// of paths has exactly one record.
+#[repr(transparent)]
+#[derive(PartialEq, Eq, Hash)]
+pub struct PathSet([NodeId]);
 
 impl PathSet {
-    /// Builds from a list of paths (flat layout).
-    pub fn from_paths(paths: &[Path]) -> Self {
-        let total = paths.iter().map(Vec::len).sum();
-        let mut nodes = Vec::with_capacity(total);
-        let mut ends = Vec::with_capacity(paths.len());
-        for p in paths {
-            nodes.extend_from_slice(p);
-            ends.push(nodes.len() as u32);
-        }
-        Self { repr: Repr::Flat { nodes, ends } }
+    /// The set with no paths.
+    pub fn empty() -> &'static PathSet {
+        PathSet::view(&[0])
     }
 
+    /// Builds an owned set from a list of paths.
+    pub fn from_paths(paths: &[Path]) -> Box<PathSet> {
+        let nodes: usize = paths.iter().map(Vec::len).sum();
+        let mut record = Vec::with_capacity(1 + paths.len() + nodes);
+        push_record(&mut record, paths.iter().map(Vec::as_slice));
+        PathSet::boxed(record.into_boxed_slice())
+    }
+
+    /// Views `record` as a path set: the one place a node slice becomes a
+    /// `PathSet`.
+    fn view(record: &[NodeId]) -> &PathSet {
+        debug_assert!(is_record(record), "malformed path record {record:?}");
+        // SAFETY: `PathSet` is a `#[repr(transparent)]` wrapper around
+        // `[NodeId]`, so both pointers have the same layout and the same
+        // slice-length metadata.
+        unsafe { &*(record as *const [NodeId] as *const PathSet) }
+    }
+
+    /// The record at the head of `arena`, which may run on into later
+    /// records: its length is read from its own header.
     #[inline]
-    fn ends(&self) -> &[u32] {
-        match &self.repr {
-            Repr::Flat { ends, .. } => ends,
-            Repr::Compact { ends, .. } => ends,
-        }
+    fn at(arena: &[NodeId]) -> &PathSet {
+        let k = arena[0] as usize;
+        let nodes = if k == 0 { 0 } else { arena[k] as usize };
+        PathSet::view(&arena[..1 + k + nodes])
+    }
+
+    /// [`PathSet::view`] for an owned record.
+    fn boxed(record: Box<[NodeId]>) -> Box<PathSet> {
+        debug_assert!(is_record(&record), "malformed path record {record:?}");
+        // SAFETY: as in `view`; the allocation keeps its layout and only
+        // changes the type it is owned as.
+        unsafe { Box::from_raw(Box::into_raw(record) as *mut PathSet) }
+    }
+
+    /// The record this set views.
+    fn record(&self) -> &[NodeId] {
+        &self.0
+    }
+
+    /// The end offsets and the node run.
+    #[inline]
+    pub(crate) fn parts(&self) -> (&[u32], &[NodeId]) {
+        let (&k, rest) = self.0.split_first().expect("a record starts with its path count");
+        rest.split_at(k as usize)
     }
 
     /// Number of paths.
     #[inline]
     pub fn len(&self) -> usize {
-        self.ends().len()
+        self.0[0] as usize
     }
 
     /// True if the pair has no paths.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.ends().is_empty()
+        self.len() == 0
     }
 
     /// The `i`-th path as a node slice.
-    ///
-    /// # Panics
-    /// Panics on compact sets (a compressed stream cannot back a borrowed
-    /// slice); call [`PathSet::to_flat`] / [`PathTable::decompress`]
-    /// first, or use [`PathSet::decode_paths`].
     #[inline]
     pub fn path(&self, i: usize) -> &[NodeId] {
-        match &self.repr {
-            Repr::Flat { nodes, ends } => {
-                let lo = if i == 0 { 0 } else { ends[i - 1] as usize };
-                &nodes[lo..ends[i] as usize]
-            }
-            Repr::Compact { .. } => {
-                panic!("PathSet::path on a compact set; decompress the table first")
-            }
-        }
+        let (ends, nodes) = self.parts();
+        let lo = if i == 0 { 0 } else { ends[i - 1] as usize };
+        &nodes[lo..ends[i] as usize]
     }
 
-    /// Hop count (edges) of the `i`-th path. O(1) in both layouts.
+    /// Hop count (edges) of the `i`-th path.
     #[inline]
     pub fn hops(&self, i: usize) -> usize {
-        let ends = self.ends();
+        let (ends, _) = self.parts();
         let lo = if i == 0 { 0 } else { ends[i - 1] as usize };
         ends[i] as usize - lo - 1
     }
 
     /// Iterates over paths as node slices.
-    ///
-    /// # Panics
-    /// Panics on compact sets, like [`PathSet::path`].
-    pub fn iter(&self) -> impl Iterator<Item = &[NodeId]> + '_ {
-        (0..self.len()).map(move |i| self.path(i))
+    pub fn iter(&self) -> impl Iterator<Item = &[NodeId]> + Clone + '_ {
+        let (ends, nodes) = self.parts();
+        (0..ends.len()).map(move |i| {
+            let lo = if i == 0 { 0 } else { ends[i - 1] as usize };
+            &nodes[lo..ends[i] as usize]
+        })
     }
 
-    /// Longest path hop count, 0 when empty. O(paths) in both layouts.
+    /// Longest path hop count, 0 when empty.
     pub fn max_hops(&self) -> usize {
         (0..self.len()).map(|i| self.hops(i)).max().unwrap_or(0)
     }
@@ -303,123 +282,66 @@ impl PathSet {
         best
     }
 
-    /// Whether this set uses the compact layout.
-    #[inline]
-    pub fn is_compact(&self) -> bool {
-        matches!(self.repr, Repr::Compact { .. })
-    }
-
-    /// All paths as owned node vectors; works in both layouts.
-    pub fn decode_paths(&self) -> Vec<Path> {
-        let nodes = self.decode_nodes();
-        let ends = self.ends();
-        let mut out = Vec::with_capacity(ends.len());
-        let mut lo = 0usize;
-        for &e in ends {
-            out.push(nodes[lo..e as usize].to_vec());
-            lo = e as usize;
-        }
-        out
-    }
-
-    /// The concatenated node stream (flat twin of `bytes`).
-    fn decode_nodes(&self) -> Vec<NodeId> {
-        match &self.repr {
-            Repr::Flat { nodes, .. } => nodes.clone(),
-            Repr::Compact { ends, bytes } => {
-                decode_stream(bytes, ends).expect("compact set validated on construction")
-            }
-        }
-    }
-
-    /// Compact twin of this set (no-op clone if already compact).
-    pub fn to_compact(&self) -> Self {
-        match &self.repr {
-            Repr::Compact { .. } => self.clone(),
-            Repr::Flat { nodes, ends } => {
-                let mut bytes = Vec::new();
-                encode_stream_into(nodes, ends, &mut bytes);
-                Self {
-                    repr: Repr::Compact {
-                        ends: ends.clone().into_boxed_slice(),
-                        bytes: bytes.into_boxed_slice(),
-                    },
-                }
-            }
-        }
-    }
-
-    /// Flat twin of this set (no-op clone if already flat).
-    pub fn to_flat(&self) -> Self {
-        match &self.repr {
-            Repr::Flat { .. } => self.clone(),
-            Repr::Compact { ends, .. } => {
-                let nodes = self.decode_nodes();
-                Self { repr: Repr::Flat { nodes, ends: ends.to_vec() } }
-            }
-        }
-    }
-
-    /// Rebuilds a compact set from its wire pieces, validating the
-    /// stream. `None` on any inconsistency (truncated stream, prefix
-    /// longer than a path, trailing bytes) — used by the strict cache
-    /// decoder, so it must never panic.
-    pub(crate) fn from_compact_parts(ends: Vec<u32>, bytes: Vec<u8>) -> Option<Self> {
-        // Offsets must be strictly increasing (every path has >= 1 node).
-        if ends.windows(2).any(|w| w[0] >= w[1]) || ends.first().is_some_and(|&e| e == 0) {
-            return None;
-        }
-        decode_stream(&bytes, &ends)?;
-        Some(Self {
-            repr: Repr::Compact { ends: ends.into_boxed_slice(), bytes: bytes.into_boxed_slice() },
-        })
-    }
-
-    /// The wire pieces of the compact layout: (end offsets, node stream).
-    pub(crate) fn compact_parts(&self) -> (Vec<u32>, Vec<u8>) {
-        match &self.repr {
-            Repr::Compact { ends, bytes } => (ends.to_vec(), bytes.to_vec()),
-            Repr::Flat { nodes, ends } => {
-                let mut bytes = Vec::new();
-                encode_stream_into(nodes, ends, &mut bytes);
-                (ends.clone(), bytes)
-            }
-        }
-    }
-
-    /// Approximate resident heap bytes of this set.
-    pub fn resident_bytes(&self) -> usize {
-        match &self.repr {
-            Repr::Flat { nodes, ends } => {
-                nodes.capacity() * std::mem::size_of::<NodeId>() + ends.capacity() * 4
-            }
-            Repr::Compact { ends, bytes } => ends.len() * 4 + bytes.len(),
-        }
-    }
-
     /// Whether any stored path crosses one of `removed` (undirected,
-    /// normalized `(min, max)`) edges. Works in both layouts.
+    /// normalized `(min, max)`) edges.
     fn crosses(&self, removed: &std::collections::HashSet<(NodeId, NodeId)>) -> bool {
-        let scan = |nodes: &[NodeId], ends: &[u32]| {
-            let mut lo = 0usize;
-            for &e in ends {
-                let path = &nodes[lo..e as usize];
-                if path.windows(2).any(|w| removed.contains(&(w[0].min(w[1]), w[0].max(w[1])))) {
-                    return true;
-                }
-                lo = e as usize;
-            }
-            false
-        };
-        match &self.repr {
-            Repr::Flat { nodes, ends } => scan(nodes, ends),
-            Repr::Compact { ends, .. } => scan(&self.decode_nodes(), ends),
-        }
+        self.iter().any(|path| {
+            path.windows(2).any(|w| removed.contains(&(w[0].min(w[1]), w[0].max(w[1]))))
+        })
     }
 }
 
-/// Appends the shared-prefix + zigzag-varint encoding of a flat node
-/// stream to `out`.
+impl std::fmt::Debug for PathSet {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl ToOwned for PathSet {
+    type Owned = Box<PathSet>;
+
+    fn to_owned(&self) -> Box<PathSet> {
+        PathSet::boxed(self.0.into())
+    }
+}
+
+impl Clone for Box<PathSet> {
+    fn clone(&self) -> Self {
+        (**self).to_owned()
+    }
+}
+
+impl Default for Box<PathSet> {
+    fn default() -> Self {
+        PathSet::empty().to_owned()
+    }
+}
+
+/// Whether `r` is a well-formed record: a count, that many
+/// non-decreasing end offsets, and a node run as long as the last one.
+fn is_record(r: &[NodeId]) -> bool {
+    let Some((&k, rest)) = r.split_first() else { return false };
+    let Some((ends, nodes)) = rest.split_at_checked(k as usize) else { return false };
+    ends.windows(2).all(|w| w[0] <= w[1]) && ends.last().map_or(0, |&e| e as usize) == nodes.len()
+}
+
+/// Appends the record of `paths` to `out`.
+fn push_record<'a>(out: &mut Vec<NodeId>, paths: impl Iterator<Item = &'a [NodeId]> + Clone) {
+    let head = out.len();
+    out.push(0);
+    let mut end = 0usize;
+    for path in paths.clone() {
+        end += path.len();
+        out.push(u32::try_from(end).expect("a path set exceeds u32 node offsets"));
+    }
+    out[head] = (out.len() - head - 1) as NodeId;
+    for path in paths {
+        out.extend_from_slice(path);
+    }
+}
+
+/// Appends the shared-prefix + zigzag-varint encoding of a node run to
+/// `out`.
 ///
 /// Per path: `varint(prefix)` — the number of leading nodes shared with
 /// the *previous* path in the set (0 for the first) — followed by one
@@ -427,8 +349,8 @@ impl PathSet {
 /// node of the same path (the first node of a prefix-less path is delta'd
 /// from 0). Length-sorted k-path sets share at least the source switch
 /// and often several leading hops, and deltas halve the byte cost of
-/// random node ids, which is what makes 1k+-switch all-pairs tables fit.
-fn encode_stream_into(nodes: &[NodeId], ends: &[u32], out: &mut Vec<u8>) {
+/// random node ids; this is the `jellyfish-ptab v2` path payload.
+pub(crate) fn encode_stream_into(nodes: &[NodeId], ends: &[u32], out: &mut Vec<u8>) {
     let mut prev_path: &[NodeId] = &[];
     let mut lo = 0usize;
     for &e in ends {
@@ -445,42 +367,41 @@ fn encode_stream_into(nodes: &[NodeId], ends: &[u32], out: &mut Vec<u8>) {
     }
 }
 
-/// Decodes the stream produced by [`encode_stream_into`]; `None` on any
-/// corruption. Strict: the whole byte stream must be consumed.
-fn decode_stream(bytes: &[u8], ends: &[u32]) -> Option<Vec<NodeId>> {
-    let total = ends.last().copied().unwrap_or(0) as usize;
-    let mut nodes: Vec<NodeId> = Vec::with_capacity(total);
+/// Appends to `out` the record whose end offsets are `ends` (strictly
+/// increasing, from > 0) and whose node run [`encode_stream_into`]
+/// encoded as `stream`. `None` on any corruption, with `out` left
+/// partly extended for the caller to truncate. Strict: the whole stream
+/// must be consumed.
+pub(crate) fn decode_record_into(out: &mut Vec<NodeId>, ends: &[u32], stream: &[u8]) -> Option<()> {
+    out.push(ends.len() as NodeId);
+    out.extend_from_slice(ends);
+    let base = out.len();
     let mut pos = 0usize;
     let mut prev_start = 0usize;
     let mut lo = 0usize;
     for &e in ends {
-        let len = e as usize - lo;
-        let prefix = read_varint(bytes, &mut pos)? as usize;
-        let prev_len = lo - prev_start;
-        if prefix > len || prefix > prev_len {
+        let len = (e as usize).checked_sub(lo)?;
+        let prefix = read_varint(stream, &mut pos)? as usize;
+        if prefix > len || prefix > lo - prev_start {
             return None;
         }
         for j in 0..prefix {
-            let shared = nodes[prev_start + j];
-            nodes.push(shared);
+            let shared = out[base + prev_start + j];
+            out.push(shared);
         }
-        let mut prev = if prefix == 0 { 0i64 } else { nodes[lo + prefix - 1] as i64 };
+        let mut prev = if prefix == 0 { 0i64 } else { out[base + lo + prefix - 1] as i64 };
         for _ in prefix..len {
-            let delta = unzigzag(read_varint(bytes, &mut pos)?);
-            let node = prev + delta;
+            let node = prev + unzigzag(read_varint(stream, &mut pos)?);
             if !(0..=u32::MAX as i64).contains(&node) {
                 return None;
             }
-            nodes.push(node as NodeId);
+            out.push(node as NodeId);
             prev = node;
         }
         prev_start = lo;
         lo = e as usize;
     }
-    if pos != bytes.len() {
-        return None; // trailing garbage
-    }
-    Some(nodes)
+    (pos == stream.len()).then_some(())
 }
 
 pub(crate) fn write_varint(out: &mut Vec<u8>, mut v: u64) {
@@ -518,28 +439,227 @@ fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
-/// Computed paths for a set of switch pairs.
+/// Computed paths for a set of switch pairs, in one record arena.
 ///
-/// Dense storage (flat `Vec` indexed by `s * n + d`) is used for
-/// [`PairSet::AllPairs`]; sparse (`HashMap`) otherwise. Lookup via
-/// [`PathTable::get`] is uniform over both.
+/// Every covered pair's [`PathSet`] record sits back to back in the
+/// arena, in slot order, and `starts[i]` locates slot `i`'s record. An
+/// all-pairs table ([`PairSet::AllPairs`]) has `n^2` slots in row-major
+/// `s * n + d` order, the diagonal included as empty records, and needs
+/// no keys. A pair-subset table stores its pairs' packed `(s, d)` keys,
+/// sorted, one per slot; [`PathTable::get`] finds a slot by binary
+/// search, since a dense index would cost `4 n^2` bytes for a handful of
+/// pairs.
+///
+/// The arena is cut into blocks of [`BLOCK_SLOTS`] slots (a few hundred
+/// KiB for k-path tables), each one allocation, and `starts[i]` counts
+/// from the start of block `i / BLOCK_SLOTS`. A table is never one
+/// allocation of many megabytes: freeing one would raise glibc's dynamic
+/// mmap threshold to its size, after which every allocation up to that
+/// size is served from a heap that is rarely given back, so a daemon
+/// that swaps tables would hold on to memory it had freed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PathTable {
     selection: PathSelection,
     n: usize,
-    storage: Storage,
     max_hops: usize,
-}
-
-#[derive(Debug, Clone, PartialEq)]
-enum Storage {
-    Dense(Vec<PathSet>),
-    Sparse(HashMap<u64, PathSet>),
+    blocks: Vec<Box<[NodeId]>>,
+    starts: Vec<u32>,
+    /// `None` for all-pairs tables.
+    keys: Option<Vec<u64>>,
 }
 
 #[inline]
 fn pack(s: NodeId, d: NodeId) -> u64 {
     ((s as u64) << 32) | d as u64
+}
+
+/// Slots per arena block, and pairs per parallel compute block: the
+/// per-pair sets of one block are the only transient copy of the table,
+/// and a block still gives every rayon worker plenty of pairs.
+const BLOCK_SLOTS: usize = 4096;
+
+/// Appends records in slot order: the one way a table's arena is built.
+pub(crate) struct TableBuilder {
+    n: usize,
+    blocks: Vec<Box<[NodeId]>>,
+    /// The block being filled.
+    block: Vec<NodeId>,
+    /// Words to allocate for the next block when it opens: the last
+    /// block's length unless a caller knows better, so a block is
+    /// allocated once at its final size.
+    hint: usize,
+    starts: Vec<u32>,
+    keys: Option<Vec<u64>>,
+    max_hops: usize,
+}
+
+impl TableBuilder {
+    /// An empty all-pairs (`dense`) or pair-subset table on `n` switches.
+    pub(crate) fn new(n: usize, dense: bool) -> Self {
+        Self {
+            n,
+            blocks: Vec::new(),
+            block: Vec::new(),
+            hint: 0,
+            starts: Vec::with_capacity(if dense { n * n } else { 0 }),
+            keys: (!dense).then(Vec::new),
+            max_hops: 0,
+        }
+    }
+
+    /// Appends pair `(s, d)`'s record, which `fill` writes onto the end of
+    /// the block it is given. A dense builder first pads the slots before
+    /// `s * n + d` with empty records; a sparse one takes pairs in
+    /// ascending order. When `fill` fails, nothing is appended.
+    pub(crate) fn push_with<E>(
+        &mut self,
+        (s, d): (NodeId, NodeId),
+        fill: impl FnOnce(&mut Vec<NodeId>) -> Result<(), E>,
+    ) -> Result<(), E> {
+        if self.keys.is_none() {
+            self.pad_to(s as usize * self.n + d as usize);
+        }
+        let start = self.open();
+        if let Err(e) = fill(&mut self.block) {
+            self.block.truncate(start);
+            return Err(e);
+        }
+        if let Some(keys) = &mut self.keys {
+            debug_assert!(keys.last().is_none_or(|&k| k < pack(s, d)), "pairs out of order");
+            keys.push(pack(s, d));
+        }
+        self.close(start);
+        Ok(())
+    }
+
+    fn push(&mut self, pair: (NodeId, NodeId), set: &PathSet) {
+        let appended: Result<(), std::convert::Infallible> = self.push_with(pair, |block| {
+            block.extend_from_slice(set.record());
+            Ok(())
+        });
+        appended.unwrap_or_else(|never| match never {});
+    }
+
+    fn pad_to(&mut self, slot: usize) {
+        debug_assert!(slot >= self.starts.len(), "dense slots pushed out of order");
+        while self.starts.len() < slot {
+            let start = self.open();
+            self.block.push(0);
+            self.close(start);
+        }
+    }
+
+    /// Whether the next record opens a fresh block.
+    fn at_block_start(&self) -> bool {
+        self.starts.len().is_multiple_of(BLOCK_SLOTS)
+    }
+
+    /// Sizes the next fresh block to `words`.
+    fn hint(&mut self, words: usize) {
+        self.hint = words;
+    }
+
+    /// Starts the next slot's record; returns where it starts.
+    fn open(&mut self) -> usize {
+        if self.block.capacity() == 0 {
+            self.block.reserve_exact(self.hint);
+        }
+        self.block.len()
+    }
+
+    /// Ends the record that starts at `start`, sealing a full block.
+    fn close(&mut self, start: usize) {
+        let start32 = u32::try_from(start).expect("an arena block exceeds u32 offsets");
+        self.max_hops = self.max_hops.max(PathSet::view(&self.block[start..]).max_hops());
+        self.starts.push(start32);
+        if self.at_block_start() {
+            self.seal();
+        }
+    }
+
+    /// Moves the current block into the arena, sized exactly.
+    fn seal(&mut self) {
+        self.hint = self.block.len();
+        self.blocks.push(std::mem::take(&mut self.block).into_boxed_slice());
+    }
+
+    pub(crate) fn finish(mut self, selection: PathSelection) -> PathTable {
+        if self.keys.is_none() {
+            self.pad_to(self.n * self.n);
+        }
+        if !self.at_block_start() {
+            self.seal();
+        }
+        self.blocks.shrink_to_fit();
+        self.starts.shrink_to_fit();
+        if let Some(keys) = &mut self.keys {
+            keys.shrink_to_fit();
+        }
+        let Self { n, blocks, starts, keys, max_hops, .. } = self;
+        PathTable { selection, n, max_hops, blocks, starts, keys }
+    }
+}
+
+/// Computes `selection`'s paths for pairs `pair_at(0..count)` in
+/// parallel, `block` pairs at a time, appending each block to `b` in
+/// order.
+fn fill_blocks(
+    b: &mut TableBuilder,
+    (graph, selection, seed): (&Graph, PathSelection, u64),
+    count: usize,
+    block: usize,
+    pair_at: impl Fn(usize) -> (NodeId, NodeId) + Sync,
+) {
+    let block = block.max(1);
+    for lo in (0..count).step_by(block) {
+        let hi = (lo + block).min(count);
+        let sets: Vec<Box<PathSet>> = (lo..hi)
+            .into_par_iter()
+            .map(|i| {
+                let (s, d) = pair_at(i);
+                pair_set(graph, selection, s, d, seed)
+            })
+            .collect();
+        if b.at_block_start() {
+            b.hint(sets.iter().take(BLOCK_SLOTS).map(|set| set.record().len()).sum());
+        }
+        for (i, set) in (lo..hi).zip(&sets) {
+            b.push(pair_at(i), set);
+        }
+    }
+}
+
+/// One source's row of single shortest paths via one BFS tree, with the
+/// frontier shuffled (seeded per source) when `randomized`.
+fn shortest_row(graph: &Graph, src: NodeId, randomized: bool, seed: u64) -> Vec<Box<PathSet>> {
+    use crate::bfs::shortest_path_tree;
+    let mut rng;
+    let mut tiebreak = if randomized {
+        rng = StdRng::seed_from_u64(pair_seed(seed, src, u32::MAX));
+        TieBreak::Randomized(&mut rng)
+    } else {
+        TieBreak::Deterministic
+    };
+    let n = graph.num_nodes();
+    let (dist, pred) = shortest_path_tree(graph, src, &mut tiebreak);
+    let mut out = Vec::with_capacity(n);
+    let mut scratch = Vec::new();
+    for dst in 0..n as NodeId {
+        if dst == src || dist[dst as usize] == u32::MAX {
+            out.push(Box::default());
+            continue;
+        }
+        scratch.clear();
+        let mut cur = dst;
+        while cur != src {
+            scratch.push(cur);
+            cur = pred[cur as usize];
+        }
+        scratch.push(src);
+        scratch.reverse();
+        out.push(PathSet::from_paths(std::slice::from_ref(&scratch)));
+    }
+    out
 }
 
 impl PathTable {
@@ -549,50 +669,25 @@ impl PathTable {
     /// the result is independent of the parallel schedule.
     pub fn compute(graph: &Graph, selection: PathSelection, pairs: &PairSet, seed: u64) -> Self {
         let _span = jellyfish_obs::span("routing.table.compute");
-        let n = graph.num_nodes();
-        let storage = match pairs {
-            PairSet::AllPairs => {
-                let sets: Vec<PathSet> = (0..(n * n) as u64)
-                    .into_par_iter()
-                    .map(|idx| {
-                        let s = (idx / n as u64) as NodeId;
-                        let d = (idx % n as u64) as NodeId;
-                        if s == d {
-                            PathSet::default()
-                        } else {
-                            let _t = jellyfish_obs::trace::span("routing.pair.compute");
-                            with_thread_workspace(graph, |ws| {
-                                PathSet::from_paths(
-                                    &selection.paths_for_pair_with(graph, s, d, seed, ws),
-                                )
-                            })
-                        }
-                    })
-                    .collect();
-                Storage::Dense(sets)
-            }
+        match pairs {
+            PairSet::AllPairs => Self::compute_dense(graph, selection, seed, BLOCK_SLOTS),
             PairSet::Pairs(_) => {
-                let list = pairs.materialize(n);
-                let map: HashMap<u64, PathSet> = list
-                    .into_par_iter()
-                    .map(|(s, d)| {
-                        let _t = jellyfish_obs::trace::span("routing.pair.compute");
-                        let ps = with_thread_workspace(graph, |ws| {
-                            PathSet::from_paths(
-                                &selection.paths_for_pair_with(graph, s, d, seed, ws),
-                            )
-                        });
-                        (pack(s, d), ps)
-                    })
-                    .collect();
-                Storage::Sparse(map)
+                let list = pairs.materialize(graph.num_nodes());
+                let mut b = TableBuilder::new(graph.num_nodes(), false);
+                fill_blocks(&mut b, (graph, selection, seed), list.len(), BLOCK_SLOTS, |i| list[i]);
+                b.finish(selection)
             }
-        };
-        let max_hops = match &storage {
-            Storage::Dense(v) => v.iter().map(PathSet::max_hops).max().unwrap_or(0),
-            Storage::Sparse(m) => m.values().map(PathSet::max_hops).max().unwrap_or(0),
-        };
-        Self { selection, n, storage, max_hops }
+        }
+    }
+
+    /// All-pairs [`PathTable::compute`], `block` pairs at a time.
+    fn compute_dense(graph: &Graph, selection: PathSelection, seed: u64, block: usize) -> Self {
+        let n = graph.num_nodes();
+        let mut b = TableBuilder::new(n, true);
+        fill_blocks(&mut b, (graph, selection, seed), n * n, block, |i| {
+            ((i / n) as NodeId, (i % n) as NodeId)
+        });
+        b.finish(selection)
     }
 
     /// Dense all-pairs single-shortest-path table via one BFS tree per
@@ -604,88 +699,54 @@ impl PathTable {
     /// BFS shuffles its frontier (seeded per source), giving uniformly
     /// random shortest paths. Used for vanilla UGAL's valiant legs.
     pub fn all_pairs_shortest(graph: &Graph, randomized: bool, seed: u64) -> Self {
-        use crate::bfs::{shortest_path_tree, TieBreak};
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-
         let _span = jellyfish_obs::span("routing.table.all_pairs_shortest");
-        let n = graph.num_nodes();
-        let sets: Vec<PathSet> = (0..n as NodeId)
-            .into_par_iter()
-            .flat_map_iter(|src| {
-                let mut rng;
-                let mut tiebreak = if randomized {
-                    rng = StdRng::seed_from_u64(pair_seed(seed, src, u32::MAX));
-                    TieBreak::Randomized(&mut rng)
-                } else {
-                    TieBreak::Deterministic
-                };
-                let (dist, pred) = shortest_path_tree(graph, src, &mut tiebreak);
-                let mut out = Vec::with_capacity(n);
-                let mut scratch = Vec::new();
-                for dst in 0..n as NodeId {
-                    if dst == src || dist[dst as usize] == u32::MAX {
-                        out.push(PathSet::default());
-                        continue;
-                    }
-                    scratch.clear();
-                    let mut cur = dst;
-                    while cur != src {
-                        scratch.push(cur);
-                        cur = pred[cur as usize];
-                    }
-                    scratch.push(src);
-                    scratch.reverse();
-                    out.push(PathSet::from_paths(std::slice::from_ref(&scratch)));
-                }
-                out
-            })
-            .collect();
-        let max_hops = sets.iter().map(PathSet::max_hops).max().unwrap_or(0);
-        Self { selection: PathSelection::SinglePath, n, storage: Storage::Dense(sets), max_hops }
+        let rows = BLOCK_SLOTS.div_ceil(graph.num_nodes().max(1));
+        Self::shortest_rows(graph, randomized, seed, rows)
     }
 
-    /// Builds a sparse table directly from explicit paths (used by the
-    /// deserializer and by tests). The selection tag is set to
+    /// [`PathTable::all_pairs_shortest`], `block_rows` sources at a time.
+    fn shortest_rows(graph: &Graph, randomized: bool, seed: u64, block_rows: usize) -> Self {
+        let n = graph.num_nodes();
+        let mut b = TableBuilder::new(n, true);
+        for lo in (0..n).step_by(block_rows.max(1)) {
+            let hi = (lo + block_rows.max(1)).min(n);
+            let rows: Vec<Vec<Box<PathSet>>> = (lo..hi)
+                .into_par_iter()
+                .map(|src| shortest_row(graph, src as NodeId, randomized, seed))
+                .collect();
+            for (src, row) in (lo..hi).zip(&rows) {
+                for (dst, set) in row.iter().enumerate() {
+                    b.push((src as NodeId, dst as NodeId), set);
+                }
+            }
+        }
+        b.finish(PathSelection::SinglePath)
+    }
+
+    /// Builds a pair-subset table directly from explicit paths (used by
+    /// the text deserializer and by tests); a later entry for a pair
+    /// replaces an earlier one. The selection tag is set to
     /// [`PathSelection::SinglePath`] since the originating scheme cannot
     /// be recovered from its output.
     pub fn from_paths<'p>(
         n: usize,
         entries: impl Iterator<Item = ((NodeId, NodeId), &'p [Vec<NodeId>])>,
     ) -> Self {
-        let map: HashMap<u64, PathSet> =
-            entries.map(|((s, d), paths)| (pack(s, d), PathSet::from_paths(paths))).collect();
-        let max_hops = map.values().map(PathSet::max_hops).max().unwrap_or(0);
-        Self { selection: PathSelection::SinglePath, n, storage: Storage::Sparse(map), max_hops }
-    }
-
-    /// Rebuilds a table from deserialized entries, preserving the
-    /// original selection tag and storage layout (dense for all-pairs
-    /// tables, sparse otherwise) so a cache round trip is
-    /// indistinguishable from the in-memory computation. `max_hops` is
-    /// recomputed from the paths rather than trusted from the file.
-    pub(crate) fn from_cache_entries(
-        selection: PathSelection,
-        n: usize,
-        entries: Vec<((NodeId, NodeId), PathSet)>,
-        dense: bool,
-    ) -> Self {
-        let max_hops = entries.iter().map(|(_, ps)| ps.max_hops()).max().unwrap_or(0);
-        let storage = if dense {
-            let mut sets = vec![PathSet::default(); n * n];
-            for ((s, d), ps) in entries {
-                sets[s as usize * n + d as usize] = ps;
+        let mut sets: Vec<((NodeId, NodeId), Box<PathSet>)> =
+            entries.map(|(pair, paths)| (pair, PathSet::from_paths(paths))).collect();
+        sets.sort_by_key(|&(pair, _)| pair);
+        let mut b = TableBuilder::new(n, false);
+        for (i, (pair, set)) in sets.iter().enumerate() {
+            if sets.get(i + 1).is_none_or(|(next, _)| next != pair) {
+                b.push(*pair, set);
             }
-            Storage::Dense(sets)
-        } else {
-            Storage::Sparse(entries.into_iter().map(|((s, d), ps)| (pack(s, d), ps)).collect())
-        };
-        Self { selection, n, storage, max_hops }
+        }
+        b.finish(PathSelection::SinglePath)
     }
 
-    /// Whether this table uses dense all-pairs storage (cache metadata).
+    /// Whether this table covers all ordered pairs (cache metadata).
     pub(crate) fn is_dense(&self) -> bool {
-        matches!(self.storage, Storage::Dense(_))
+        self.keys.is_none()
     }
 
     /// The scheme this table was computed with.
@@ -703,33 +764,45 @@ impl PathTable {
         self.max_hops
     }
 
-    /// The paths for ordered pair `(s, d)`, if covered by this table.
+    fn slots(&self) -> usize {
+        self.starts.len()
+    }
+
     #[inline]
-    pub fn get(&self, s: NodeId, d: NodeId) -> Option<&PathSet> {
-        match &self.storage {
-            Storage::Dense(v) => v.get(s as usize * self.n + d as usize),
-            Storage::Sparse(m) => m.get(&pack(s, d)),
+    fn set_at(&self, slot: usize) -> &PathSet {
+        PathSet::at(&self.blocks[slot / BLOCK_SLOTS][self.starts[slot] as usize..])
+    }
+
+    #[inline]
+    fn slot_of(&self, s: NodeId, d: NodeId) -> Option<usize> {
+        match &self.keys {
+            None => ((s as usize) < self.n && (d as usize) < self.n)
+                .then(|| s as usize * self.n + d as usize),
+            Some(keys) => keys.binary_search(&pack(s, d)).ok(),
         }
     }
 
-    /// Iterates over all `(s, d, paths)` entries with at least one path.
-    pub fn entries(&self) -> Box<dyn Iterator<Item = (NodeId, NodeId, &PathSet)> + '_> {
-        match &self.storage {
-            Storage::Dense(v) => Box::new(v.iter().enumerate().filter_map(move |(i, ps)| {
-                if ps.is_empty() {
-                    None
-                } else {
-                    Some(((i / self.n) as NodeId, (i % self.n) as NodeId, ps))
-                }
-            })),
-            Storage::Sparse(m) => Box::new(m.iter().filter_map(|(&key, ps)| {
-                if ps.is_empty() {
-                    None
-                } else {
-                    Some(((key >> 32) as NodeId, key as u32, ps))
-                }
-            })),
-        }
+    /// Every slot as `(s, d, paths)`, in `(s, d)` order.
+    fn slots_iter(&self) -> impl Iterator<Item = (NodeId, NodeId, &PathSet)> + '_ {
+        (0..self.slots()).map(move |i| {
+            let (s, d) = match &self.keys {
+                None => ((i / self.n) as NodeId, (i % self.n) as NodeId),
+                Some(keys) => ((keys[i] >> 32) as NodeId, keys[i] as NodeId),
+            };
+            (s, d, self.set_at(i))
+        })
+    }
+
+    /// The paths for ordered pair `(s, d)`, if covered by this table.
+    #[inline]
+    pub fn get(&self, s: NodeId, d: NodeId) -> Option<&PathSet> {
+        self.slot_of(s, d).map(|slot| self.set_at(slot))
+    }
+
+    /// Iterates over all `(s, d, paths)` entries with at least one path,
+    /// in `(s, d)` order.
+    pub fn entries(&self) -> impl Iterator<Item = (NodeId, NodeId, &PathSet)> + '_ {
+        self.slots_iter().filter(|(_, _, ps)| !ps.is_empty())
     }
 
     /// Number of pairs stored (with at least one path).
@@ -737,58 +810,27 @@ impl PathTable {
         self.entries().count()
     }
 
-    /// Every stored pair sorted by `(s, d)`, *including* pairs whose path
+    /// Every stored pair in `(s, d)` order, *including* pairs whose path
     /// set is empty — the binary cache must reproduce pair coverage
     /// exactly, and `get()` distinguishes "covered but empty" from "not
     /// covered". Dense tables skip the (always empty) diagonal, which the
     /// loader reconstructs.
-    pub(crate) fn cache_entries(&self) -> Vec<(NodeId, NodeId, &PathSet)> {
-        match &self.storage {
-            Storage::Dense(v) => v
-                .iter()
-                .enumerate()
-                .filter_map(|(i, ps)| {
-                    let (s, d) = ((i / self.n) as NodeId, (i % self.n) as NodeId);
-                    if s == d {
-                        None
-                    } else {
-                        Some((s, d, ps))
-                    }
-                })
-                .collect(),
-            Storage::Sparse(m) => {
-                let mut v: Vec<(NodeId, NodeId, &PathSet)> =
-                    m.iter().map(|(&key, ps)| ((key >> 32) as NodeId, key as u32, ps)).collect();
-                v.sort_unstable_by_key(|&(s, d, _)| (s, d));
-                v
-            }
-        }
+    pub(crate) fn cache_entries(&self) -> impl Iterator<Item = (NodeId, NodeId, &PathSet)> + '_ {
+        self.slots_iter().filter(|&(s, d, _)| self.keys.is_some() || s != d)
     }
 
-    /// Drops every stored path that crosses a failed link or switch of
-    /// `view`, returning per-pair surviving-path counts.
-    ///
-    /// The table's pair coverage is unchanged — a pair all of whose paths
-    /// died keeps an empty [`PathSet`] and shows up in the report's
-    /// `disconnected_pairs`. Call [`PathTable::repair`] afterwards to
-    /// recompute routes for the affected pairs on the degraded fabric.
-    pub fn apply_faults(&mut self, view: &DegradedGraph) -> FaultReport {
-        let _span = jellyfish_obs::span("routing.table.apply_faults");
+    /// Scans for the paths that cross a failed link or switch of `view`
+    /// and announces the result on the event journal (`faults-applied`).
+    /// Changes nothing.
+    fn fault_report(&self, view: &DegradedGraph) -> FaultReport {
         let mut report = FaultReport::default();
-        let n = self.n;
-        let mut mask_set = |key_s: NodeId, key_d: NodeId, ps: &mut PathSet| {
+        for (src, dst, ps) in self.slots_iter() {
             let before = ps.len();
-            if before == 0 {
-                return;
-            }
-            let live: Vec<Path> =
-                ps.iter().filter(|p| view.path_is_live(p)).map(|p| p.to_vec()).collect();
-            let after = live.len();
+            let after = ps.iter().filter(|p| view.path_is_live(p)).count();
             if after < before {
-                *ps = PathSet::from_paths(&live);
                 report.affected.push(PairSurvival {
-                    src: key_s,
-                    dst: key_d,
+                    src,
+                    dst,
                     paths_before: before,
                     paths_after: after,
                 });
@@ -797,23 +839,7 @@ impl PathTable {
                     report.disconnected_pairs += 1;
                 }
             }
-        };
-        match &mut self.storage {
-            Storage::Dense(v) => {
-                for (i, ps) in v.iter_mut().enumerate() {
-                    mask_set((i / n) as NodeId, (i % n) as NodeId, ps);
-                }
-            }
-            Storage::Sparse(m) => {
-                let mut keys: Vec<u64> = m.keys().copied().collect();
-                keys.sort_unstable();
-                for key in keys {
-                    let ps = m.get_mut(&key).unwrap();
-                    mask_set((key >> 32) as NodeId, key as u32, ps);
-                }
-            }
         }
-        self.recompute_max_hops();
         jellyfish_obs::journal::publish(
             0,
             jellyfish_obs::journal::EventKind::FaultsApplied {
@@ -825,6 +851,23 @@ impl PathTable {
         report
     }
 
+    /// Drops every stored path that crosses a failed link or switch of
+    /// `view`, returning per-pair surviving-path counts.
+    ///
+    /// The table's pair coverage is unchanged — a pair all of whose paths
+    /// died keeps an empty [`PathSet`] and shows up in the report's
+    /// `disconnected_pairs`. Call [`PathTable::repair`] afterwards to
+    /// recompute routes for the affected pairs on the degraded fabric, or
+    /// [`PathTable::rerouted`] to do both in one pass.
+    pub fn apply_faults(&mut self, view: &DegradedGraph) -> FaultReport {
+        let _span = jellyfish_obs::span("routing.table.apply_faults");
+        let report = self.fault_report(view);
+        if !report.affected.is_empty() {
+            self.retain_paths(|p| view.path_is_live(p));
+        }
+        report
+    }
+
     /// Drops every path longer than `limit` hops and recomputes
     /// `max_hops`.
     ///
@@ -833,18 +876,128 @@ impl PathTable {
     /// per-hop resources from the original `max_hops` (e.g. the
     /// simulator's hop-indexed virtual channels) cannot carry it.
     pub fn retain_max_hops(&mut self, limit: usize) {
-        let mut trim = |ps: &mut PathSet| {
-            if ps.max_hops() > limit {
-                let keep: Vec<Path> =
-                    ps.iter().filter(|p| p.len() - 1 <= limit).map(|p| p.to_vec()).collect();
-                *ps = PathSet::from_paths(&keep);
-            }
-        };
-        match &mut self.storage {
-            Storage::Dense(v) => v.iter_mut().for_each(&mut trim),
-            Storage::Sparse(m) => m.values_mut().for_each(&mut trim),
+        if self.max_hops > limit {
+            self.retain_paths(|p| p.len() - 1 <= limit);
         }
-        self.recompute_max_hops();
+    }
+
+    /// Keeps only the paths `keep` accepts, compacting each arena block
+    /// in place: a filtered record is never longer than the original, so
+    /// it can always be written at or before where that record started.
+    fn retain_paths(&mut self, mut keep: impl FnMut(&[NodeId]) -> bool) {
+        let mut kept: Vec<usize> = Vec::new();
+        let mut scratch: Vec<NodeId> = Vec::new();
+        let mut max_hops = 0;
+        let slots = self.slots();
+        for (b, block) in self.blocks.iter_mut().enumerate() {
+            let mut arena = std::mem::take(block).into_vec();
+            let mut write = 0usize;
+            for slot in b * BLOCK_SLOTS..slots.min((b + 1) * BLOCK_SLOTS) {
+                let read = self.starts[slot] as usize;
+                let set = PathSet::at(&arena[read..]);
+                kept.clear();
+                kept.extend((0..set.len()).filter(|&i| keep(set.path(i))));
+                let len = if kept.len() == set.len() {
+                    let len = set.record().len();
+                    arena.copy_within(read..read + len, write);
+                    len
+                } else {
+                    scratch.clear();
+                    push_record(&mut scratch, kept.iter().map(|&i| set.path(i)));
+                    arena[write..write + scratch.len()].copy_from_slice(&scratch);
+                    scratch.len()
+                };
+                self.starts[slot] = write as u32;
+                max_hops = max_hops.max(PathSet::view(&arena[write..write + len]).max_hops());
+                write += len;
+            }
+            arena.truncate(write);
+            *block = arena.into_boxed_slice();
+        }
+        self.max_hops = max_hops;
+    }
+
+    /// Recomputes this table's selection for `pairs` on `graph`, in
+    /// parallel, each set sorted shortest-first.
+    fn reroute(
+        &self,
+        graph: &Graph,
+        pairs: &[(NodeId, NodeId)],
+        seed: u64,
+        span: &'static str,
+    ) -> Vec<Box<PathSet>> {
+        let selection = self.selection;
+        pairs
+            .par_iter()
+            .map(|&(s, d)| {
+                let _t = jellyfish_obs::trace::span(span);
+                with_thread_workspace(graph, |ws| {
+                    let mut paths = selection.paths_for_pair_with(graph, s, d, seed, ws);
+                    // The schemes emit length-sorted paths already, but
+                    // enforce the ordering here so rerouted pairs keep
+                    // the shortest-first invariant that minimal-path
+                    // consumers (UGAL) and tests may rely on, whatever
+                    // the scheme. Stable: equal-length paths keep their
+                    // scheme-given order.
+                    paths.sort_by_key(Vec::len);
+                    PathSet::from_paths(&paths)
+                })
+            })
+            .collect()
+    }
+
+    /// This table on `n` switches with each of `pairs` (ascending)
+    /// recomputed on `graph` — the one row merge behind
+    /// [`PathTable::repair`], [`PathTable::rerouted`] and
+    /// [`PathTable::extend`]. Returns it with the number of recomputed
+    /// pairs left with at least one path.
+    ///
+    /// One pass: the recomputed sets come [`BLOCK_SLOTS`] pairs at a time,
+    /// and each block is merged with the untouched records before the
+    /// next is computed, so the side buffer never exceeds one block. A
+    /// pair-subset table gains any pair it lacked; an all-pairs table
+    /// grown to `n` fills its new pairs with empty sets unless `pairs`
+    /// names them.
+    fn merged(
+        &self,
+        n: usize,
+        pairs: &[(NodeId, NodeId)],
+        graph: &Graph,
+        seed: u64,
+        span: &'static str,
+    ) -> (PathTable, usize) {
+        debug_assert!(pairs.windows(2).all(|w| w[0] < w[1]), "merge pairs must ascend");
+        let mut b = TableBuilder::new(n, self.is_dense());
+        b.hint(self.blocks.first().map_or(0, |block| block.len()));
+        let mut old: Box<dyn Iterator<Item = (NodeId, NodeId, &PathSet)>> = if self.is_dense() {
+            Box::new((0..n * n).map(move |i| {
+                let (s, d) = ((i / n) as NodeId, (i % n) as NodeId);
+                (s, d, self.get(s, d).unwrap_or(PathSet::empty()))
+            }))
+        } else {
+            Box::new(self.slots_iter())
+        };
+        let mut next_old = old.next();
+        let mut connected = 0;
+        for chunk in pairs.chunks(BLOCK_SLOTS) {
+            let sets = self.reroute(graph, chunk, seed, span);
+            for (&pair, set) in chunk.iter().zip(&sets) {
+                while let Some((s, d, kept)) = next_old.filter(|&(s, d, _)| (s, d) < pair) {
+                    b.push((s, d), kept);
+                    next_old = old.next();
+                }
+                if next_old.is_some_and(|(s, d, _)| (s, d) == pair) {
+                    next_old = old.next();
+                }
+                connected += usize::from(!set.is_empty());
+                b.push(pair, set);
+            }
+        }
+        while let Some((s, d, kept)) = next_old {
+            b.push((s, d), kept);
+            next_old = old.next();
+        }
+        (b.finish(self.selection), connected)
     }
 
     /// Recomputes this table's selection for `pairs` on the surviving
@@ -858,43 +1011,16 @@ impl PathTable {
     /// have at least one live path after repair.
     pub fn repair(&mut self, view: &DegradedGraph, pairs: &[(NodeId, NodeId)], seed: u64) -> usize {
         let _span = jellyfish_obs::span("routing.table.repair");
-        let degraded = view.materialize();
-        let selection = self.selection;
-        let recomputed: Vec<((NodeId, NodeId), PathSet)> = pairs
-            .par_iter()
-            .map(|&(s, d)| {
-                let _t = jellyfish_obs::trace::span("routing.pair.repair");
-                let ps = with_thread_workspace(&degraded, |ws| {
-                    let mut paths = selection.paths_for_pair_with(&degraded, s, d, seed, ws);
-                    // The schemes emit length-sorted paths already, but
-                    // enforce the ordering here so repaired pairs keep
-                    // the shortest-first invariant that minimal-path
-                    // consumers (UGAL) and tests may rely on, whatever
-                    // the scheme. Stable: equal-length paths keep their
-                    // scheme-given order.
-                    paths.sort_by_key(Vec::len);
-                    PathSet::from_paths(&paths)
-                });
-                ((s, d), ps)
-            })
-            .collect();
-        let mut reconnected = 0;
-        for ((s, d), ps) in recomputed {
-            if !ps.is_empty() {
-                reconnected += 1;
-            }
-            match &mut self.storage {
-                Storage::Dense(v) => v[s as usize * self.n + d as usize] = ps,
-                Storage::Sparse(m) => {
-                    m.insert(pack(s, d), ps);
-                }
-            }
-        }
-        // Exact recompute: a repair that replaces the table's longest
-        // detour with shorter routes must *lower* `max_hops`, or the
-        // simulator keeps oversizing its hop-indexed virtual channels
-        // from a stale high-water mark.
-        self.recompute_max_hops();
+        let mut sorted = pairs.to_vec();
+        sorted.sort_unstable();
+        sorted.dedup();
+        // `max_hops` is recomputed exactly by the merge: a repair that
+        // replaces the table's longest detour with shorter routes must
+        // *lower* it, or the simulator keeps oversizing its hop-indexed
+        // virtual channels from a stale high-water mark.
+        let (table, reconnected) =
+            self.merged(self.n, &sorted, &view.materialize(), seed, "routing.pair.repair");
+        *self = table;
         jellyfish_obs::journal::publish(
             0,
             jellyfish_obs::journal::EventKind::PairsRepaired { repaired: pairs.len() as u64 },
@@ -902,79 +1028,41 @@ impl PathTable {
         reconnected
     }
 
-    /// Recomputes `max_hops` from the stored paths.
-    fn recompute_max_hops(&mut self) {
-        self.max_hops = match &self.storage {
-            Storage::Dense(v) => v.iter().map(PathSet::max_hops).max().unwrap_or(0),
-            Storage::Sparse(m) => m.values().map(PathSet::max_hops).max().unwrap_or(0),
-        };
+    /// The table rerouted around the faults of `view`, built in one pass
+    /// from this one: the same result, report and repaired count as
+    /// cloning it, calling [`PathTable::apply_faults`], then
+    /// [`PathTable::repair`] on the affected pairs — without the clone.
+    /// Unaffected pairs' records are copied once; affected pairs are
+    /// recomputed on the degraded fabric a block at a time and merged in.
+    pub fn rerouted(&self, view: &DegradedGraph, seed: u64) -> (PathTable, FaultReport, usize) {
+        let _span = jellyfish_obs::span("routing.table.rerouted");
+        let report = self.fault_report(view);
+        let pairs = report.affected_pairs();
+        let (table, repaired) =
+            self.merged(self.n, &pairs, &view.materialize(), seed, "routing.pair.repair");
+        jellyfish_obs::journal::publish(
+            0,
+            jellyfish_obs::journal::EventKind::PairsRepaired { repaired: pairs.len() as u64 },
+        );
+        (table, report, repaired)
     }
 
-    /// Converts every stored set to the compact layout in place.
-    ///
-    /// Metadata queries (`get` + `len`/`hops`/`max_hops`/`shortest_index`)
-    /// keep working; handing the table to a simulator (which walks
-    /// borrowed `path()` slices) requires [`PathTable::decompress`] first.
-    pub fn compress(&mut self) {
-        let compact = |ps: &mut PathSet| {
-            if !ps.is_compact() {
-                *ps = ps.to_compact();
-            }
-        };
-        match &mut self.storage {
-            Storage::Dense(v) => v.iter_mut().for_each(compact),
-            Storage::Sparse(m) => m.values_mut().for_each(compact),
-        }
-    }
-
-    /// Converts every stored set back to the flat layout in place.
-    pub fn decompress(&mut self) {
-        let flat = |ps: &mut PathSet| {
-            if ps.is_compact() {
-                *ps = ps.to_flat();
-            }
-        };
-        match &mut self.storage {
-            Storage::Dense(v) => v.iter_mut().for_each(flat),
-            Storage::Sparse(m) => m.values_mut().for_each(flat),
-        }
-    }
-
-    /// Whether any stored set uses the compact layout.
-    pub fn is_compact(&self) -> bool {
-        match &self.storage {
-            Storage::Dense(v) => v.iter().any(PathSet::is_compact),
-            Storage::Sparse(m) => m.values().any(PathSet::is_compact),
-        }
-    }
-
-    /// Approximate resident heap bytes of the stored path sets (the
-    /// memory gauge the scale benchmarks report).
+    /// Approximate resident heap bytes of the table (the memory gauge the
+    /// scale benchmarks report).
     pub fn resident_bytes(&self) -> usize {
-        match &self.storage {
-            Storage::Dense(v) => {
-                v.capacity() * std::mem::size_of::<PathSet>()
-                    + v.iter().map(PathSet::resident_bytes).sum::<usize>()
-            }
-            Storage::Sparse(m) => {
-                m.capacity() * (std::mem::size_of::<PathSet>() + 16)
-                    + m.values().map(PathSet::resident_bytes).sum::<usize>()
-            }
-        }
+        self.blocks.iter().map(|b| b.len() * std::mem::size_of::<NodeId>()).sum::<usize>()
+            + self.blocks.capacity() * std::mem::size_of::<Box<[NodeId]>>()
+            + self.starts.capacity() * std::mem::size_of::<u32>()
+            + self.keys.as_ref().map_or(0, |k| k.capacity() * std::mem::size_of::<u64>())
     }
 
-    /// Dense all-pairs table built row-block by row-block, compressing
-    /// each block's sets as soon as they are computed, so the fully flat
-    /// table is never resident — the transient flat working set is one
-    /// block (`block_rows * n` sets) instead of `n^2`. That is what lets
-    /// an RRG(1024+) all-pairs table build inside a modest memory budget.
-    ///
-    /// The result is pair-for-pair equal (content equality) to
-    /// `PathTable::compute(graph, selection, &PairSet::AllPairs, seed)`
-    /// followed by [`PathTable::compress`]: per-pair seeding makes each
-    /// pair's paths independent of scheduling, and
-    /// [`PathSelection::SinglePath`] rows take the same per-source BFS
-    /// tree fast path as [`PathTable::all_pairs_shortest`] (pinned
+    /// [`PathTable::compute`] over all pairs, `block_rows` sources at a
+    /// time, so the transient per-pair sets never exceed one row block
+    /// (`block_rows * n` pairs) next to the arena. The result equals
+    /// `PathTable::compute(graph, selection, &PairSet::AllPairs, seed)`:
+    /// per-pair seeding makes each pair's paths independent of
+    /// scheduling, and [`PathSelection::SinglePath`] rows take the same
+    /// per-source BFS tree as [`PathTable::all_pairs_shortest`] (pinned
     /// equivalent by `all_pairs_shortest_matches_per_pair_search`).
     pub fn compute_streaming(
         graph: &Graph,
@@ -983,74 +1071,11 @@ impl PathTable {
         block_rows: usize,
     ) -> Self {
         let _span = jellyfish_obs::span("routing.table.compute_streaming");
-        let n = graph.num_nodes();
         let block_rows = block_rows.max(1);
-        let mut sets: Vec<PathSet> = Vec::with_capacity(n * n);
-        let mut lo = 0usize;
-        while lo < n {
-            let hi = (lo + block_rows).min(n);
-            let block: Vec<PathSet> = match selection {
-                PathSelection::SinglePath => (lo..hi)
-                    .into_par_iter()
-                    .flat_map_iter(|src| {
-                        Self::shortest_row(graph, src as NodeId).into_iter().map(|ps| {
-                            if ps.is_empty() {
-                                ps
-                            } else {
-                                ps.to_compact()
-                            }
-                        })
-                    })
-                    .collect(),
-                _ => (lo * n..hi * n)
-                    .into_par_iter()
-                    .map(|idx| {
-                        let s = (idx / n) as NodeId;
-                        let d = (idx % n) as NodeId;
-                        if s == d {
-                            PathSet::default()
-                        } else {
-                            with_thread_workspace(graph, |ws| {
-                                PathSet::from_paths(
-                                    &selection.paths_for_pair_with(graph, s, d, seed, ws),
-                                )
-                                .to_compact()
-                            })
-                        }
-                    })
-                    .collect(),
-            };
-            sets.extend(block);
-            lo = hi;
+        match selection {
+            PathSelection::SinglePath => Self::shortest_rows(graph, false, seed, block_rows),
+            _ => Self::compute_dense(graph, selection, seed, block_rows * graph.num_nodes()),
         }
-        let max_hops = sets.iter().map(PathSet::max_hops).max().unwrap_or(0);
-        Self { selection, n, storage: Storage::Dense(sets), max_hops }
-    }
-
-    /// One source's row of deterministic single shortest paths, via one
-    /// BFS tree (the [`PathTable::all_pairs_shortest`] scheme).
-    fn shortest_row(graph: &Graph, src: NodeId) -> Vec<PathSet> {
-        use crate::bfs::{shortest_path_tree, TieBreak};
-        let n = graph.num_nodes();
-        let (dist, pred) = shortest_path_tree(graph, src, &mut TieBreak::Deterministic);
-        let mut out = Vec::with_capacity(n);
-        let mut scratch = Vec::new();
-        for dst in 0..n as NodeId {
-            if dst == src || dist[dst as usize] == u32::MAX {
-                out.push(PathSet::default());
-                continue;
-            }
-            scratch.clear();
-            let mut cur = dst;
-            while cur != src {
-                scratch.push(cur);
-                cur = pred[cur as usize];
-            }
-            scratch.push(src);
-            scratch.reverse();
-            out.push(PathSet::from_paths(std::slice::from_ref(&scratch)));
-        }
-        out
     }
 
     /// Grows this table to cover `grown` (a graph expanded from this
@@ -1067,9 +1092,7 @@ impl PathTable {
     ///
     /// Recomputed pairs use the same per-pair seeding as
     /// [`PathTable::compute`], so for those pairs the result is exactly
-    /// what a fresh compute on `grown` would produce. The storage layout
-    /// (flat vs compact) of recomputed sets follows the table's current
-    /// layout.
+    /// what a fresh compute on `grown` would produce.
     pub fn extend(
         &mut self,
         grown: &Graph,
@@ -1080,76 +1103,34 @@ impl PathTable {
         let old_n = self.n;
         let new_n = grown.num_nodes();
         assert!(new_n >= old_n, "extend cannot shrink the fabric ({old_n} -> {new_n})");
-        let compact = self.is_compact();
-
-        // Re-index dense storage from the old `s * old_n + d` layout.
-        if let Storage::Dense(v) = &mut self.storage {
-            let old = std::mem::take(v);
-            let mut sets = vec![PathSet::default(); new_n * new_n];
-            for (i, ps) in old.into_iter().enumerate() {
-                let (s, d) = (i / old_n, i % old_n);
-                sets[s * new_n + d] = ps;
-            }
-            *v = sets;
-        }
-        self.n = new_n;
 
         // Pairs whose stored routes crossed a recabled-away edge.
         let removed_set: std::collections::HashSet<(NodeId, NodeId)> =
             removed.iter().map(|&(u, v)| (u.min(v), u.max(v))).collect();
-        let mut repair_list: Vec<(NodeId, NodeId)> = self
+        let mut pairs: Vec<(NodeId, NodeId)> = self
             .entries()
             .filter_map(|(s, d, ps)| ps.crosses(&removed_set).then_some((s, d)))
             .collect();
-        repair_list.sort_unstable();
-        let affected_pairs = repair_list.len();
+        let affected_pairs = pairs.len();
 
         // Dense tables promise all-pairs coverage: add every pair that
         // touches a new switch. Sparse tables keep their explicit pair
         // list — callers add pairs by recomputing, not by extension.
         let mut new_pairs = 0usize;
-        if matches!(self.storage, Storage::Dense(_)) {
+        if self.is_dense() {
             for s in 0..new_n as NodeId {
                 for d in 0..new_n as NodeId {
                     if s != d && (s as usize >= old_n || d as usize >= old_n) {
-                        repair_list.push((s, d));
+                        pairs.push((s, d));
                         new_pairs += 1;
                     }
                 }
             }
         }
+        pairs.sort_unstable();
 
-        let selection = self.selection;
-        let recomputed: Vec<((NodeId, NodeId), PathSet)> = repair_list
-            .par_iter()
-            .map(|&(s, d)| {
-                let _t = jellyfish_obs::trace::span("routing.pair.extend");
-                let ps = with_thread_workspace(grown, |ws| {
-                    let mut paths = selection.paths_for_pair_with(grown, s, d, seed, ws);
-                    paths.sort_by_key(Vec::len);
-                    let ps = PathSet::from_paths(&paths);
-                    if compact {
-                        ps.to_compact()
-                    } else {
-                        ps
-                    }
-                });
-                ((s, d), ps)
-            })
-            .collect();
-        let mut reconnected = 0usize;
-        for ((s, d), ps) in recomputed {
-            if !ps.is_empty() {
-                reconnected += 1;
-            }
-            match &mut self.storage {
-                Storage::Dense(v) => v[s as usize * new_n + d as usize] = ps,
-                Storage::Sparse(m) => {
-                    m.insert(pack(s, d), ps);
-                }
-            }
-        }
-        self.recompute_max_hops();
+        let (table, reconnected) = self.merged(new_n, &pairs, grown, seed, "routing.pair.extend");
+        *self = table;
         let report = ExtendReport { affected_pairs, new_pairs, reconnected };
         jellyfish_obs::journal::publish(
             0,
@@ -1162,6 +1143,23 @@ impl PathTable {
         );
         report
     }
+}
+
+/// One pair's paths under `selection` (empty on the diagonal).
+fn pair_set(
+    graph: &Graph,
+    selection: PathSelection,
+    s: NodeId,
+    d: NodeId,
+    seed: u64,
+) -> Box<PathSet> {
+    if s == d {
+        return Box::default();
+    }
+    let _t = jellyfish_obs::trace::span("routing.pair.compute");
+    with_thread_workspace(graph, |ws| {
+        PathSet::from_paths(&selection.paths_for_pair_with(graph, s, d, seed, ws))
+    })
 }
 
 /// What [`PathTable::extend`] recomputed.
@@ -1242,9 +1240,42 @@ mod tests {
 
     #[test]
     fn empty_pathset() {
-        let ps = PathSet::default();
+        let ps = PathSet::empty();
         assert!(ps.is_empty());
         assert_eq!(ps.max_hops(), 0);
+        assert_eq!(&*Box::<PathSet>::default(), ps);
+    }
+
+    /// `from_paths` then `iter` hands back exactly the paths it was
+    /// given, for empty sets too, and an all-pairs table's diagonal is
+    /// covered by empty records.
+    #[test]
+    fn records_round_trip_paths() {
+        let cases: [Vec<Path>; 3] = [
+            vec![],
+            vec![vec![4, 2]],
+            vec![vec![3, 7, 2, 9], vec![3, 9], vec![3, 1, 0, 4, 9], vec![3, 7, 5, 9]],
+        ];
+        for paths in cases {
+            let set = PathSet::from_paths(&paths);
+            assert_eq!(set.len(), paths.len());
+            assert_eq!(set.iter().map(<[NodeId]>::to_vec).collect::<Vec<_>>(), paths);
+            for (i, p) in paths.iter().enumerate() {
+                assert_eq!(set.path(i), &p[..]);
+                assert_eq!(set.hops(i), p.len() - 1);
+            }
+            assert_eq!(set.clone(), set);
+            assert_eq!(&*(*set).to_owned(), &*set);
+        }
+        assert_eq!(&*PathSet::from_paths(&[]), PathSet::empty());
+        let t = PathTable::compute(&small_graph(), PathSelection::Ksp(2), &PairSet::AllPairs, 0);
+        for s in 0..16u32 {
+            let diagonal = t.get(s, s).expect("the diagonal is covered");
+            assert_eq!(diagonal, PathSet::empty());
+            assert_eq!(diagonal.iter().count(), 0);
+        }
+        // Dense lookups are bounds-checked per coordinate.
+        assert!(t.get(0, 16).is_none() && t.get(16, 0).is_none());
     }
 
     #[test]
@@ -1478,7 +1509,7 @@ mod tests {
         // Sorted sets keep index 0, including on ties at minimal length.
         let tie = PathSet::from_paths(&[vec![0, 1, 3], vec![0, 2, 3], vec![0, 4, 5, 3]]);
         assert_eq!(tie.shortest_index(), 0);
-        assert_eq!(PathSet::default().shortest_index(), 0);
+        assert_eq!(PathSet::empty().shortest_index(), 0);
     }
 
     #[test]
@@ -1525,88 +1556,130 @@ mod tests {
     }
 
     #[test]
-    fn compact_pathset_roundtrips_and_keeps_metadata() {
-        let ps = PathSet::from_paths(&[
-            vec![3, 7, 2, 9],
-            vec![3, 7, 5, 9],
-            vec![3, 1, 0, 4, 9],
-            vec![3, 9],
-        ]);
-        let compact = ps.to_compact();
-        assert!(compact.is_compact() && !ps.is_compact());
-        // Content equality across layouts, O(1) metadata preserved.
-        assert_eq!(compact, ps);
-        assert_eq!(compact.len(), ps.len());
-        for i in 0..ps.len() {
-            assert_eq!(compact.hops(i), ps.hops(i));
-        }
-        assert_eq!(compact.max_hops(), ps.max_hops());
-        assert_eq!(compact.shortest_index(), ps.shortest_index());
-        assert_eq!(compact.decode_paths(), ps.decode_paths());
-        // Exact flat round trip, and the shared-prefix encoding pays off.
-        assert_eq!(compact.to_flat(), ps);
-        assert!(compact.resident_bytes() < ps.resident_bytes());
-        // Empty sets survive the trip too.
-        assert_eq!(PathSet::default().to_compact().to_flat(), PathSet::default());
-    }
-
-    #[test]
-    #[should_panic(expected = "decompress the table first")]
-    fn compact_pathset_path_access_panics_with_guidance() {
-        let ps = PathSet::from_paths(&[vec![0, 1, 2]]).to_compact();
-        let _ = ps.path(0);
-    }
-
-    #[test]
-    fn compact_parts_reject_corruption() {
-        let ps = PathSet::from_paths(&[vec![5, 2, 8], vec![5, 2, 9]]);
-        let (ends, bytes) = ps.compact_parts();
-        let rebuilt = PathSet::from_compact_parts(ends.clone(), bytes.clone()).unwrap();
-        assert_eq!(rebuilt, ps);
+    fn record_stream_round_trips_and_rejects_corruption() {
+        let set = PathSet::from_paths(&[vec![5, 2, 8], vec![5, 2, 9], vec![5, 1, 0, 9]]);
+        let (ends, nodes) = set.parts();
+        let mut stream = Vec::new();
+        encode_stream_into(nodes, ends, &mut stream);
+        let decode = |stream: &[u8]| {
+            let mut out = vec![7]; // decoding appends after what is there
+            decode_record_into(&mut out, ends, stream).map(|()| out[1..].to_vec())
+        };
+        assert_eq!(decode(&stream).as_deref(), Some(set.record()));
         // Truncated stream.
-        assert!(
-            PathSet::from_compact_parts(ends.clone(), bytes[..bytes.len() - 1].to_vec()).is_none()
-        );
+        assert!(decode(&stream[..stream.len() - 1]).is_none());
         // Trailing garbage.
-        let mut long = bytes.clone();
+        let mut long = stream.clone();
         long.push(0);
-        assert!(PathSet::from_compact_parts(ends.clone(), long).is_none());
-        // Non-increasing end offsets.
-        assert!(PathSet::from_compact_parts(vec![3, 3], bytes).is_none());
+        assert!(decode(&long).is_none());
+        // A prefix longer than the previous path.
+        assert!(decode(&[1, 10]).is_none());
     }
 
     #[test]
-    fn table_compress_preserves_queries_and_shrinks() {
+    fn arena_costs_one_word_per_entry() {
         let g = small_graph();
-        let flat = PathTable::compute(&g, PathSelection::EdKsp(4), &PairSet::AllPairs, 2);
-        let mut t = flat.clone();
-        t.compress();
-        assert!(t.is_compact() && !flat.is_compact());
-        assert!(t.resident_bytes() < flat.resident_bytes());
-        assert_eq!(t.max_hops(), flat.max_hops());
-        assert_eq!(t.num_pairs(), flat.num_pairs());
-        // Content equality per pair and for the whole table.
-        for (s, d, ps) in flat.entries() {
-            assert_eq!(t.get(s, d), Some(ps));
-        }
-        assert_eq!(t, flat);
-        t.decompress();
-        assert!(!t.is_compact());
-        assert_eq!(t, flat);
+        let t = PathTable::compute(&g, PathSelection::EdKsp(4), &PairSet::AllPairs, 2);
+        let words: usize = (0..16u32)
+            .flat_map(|s| (0..16u32).map(move |d| (s, d)))
+            .map(|(s, d)| {
+                let ps = t.get(s, d).unwrap();
+                1 + ps.len() + ps.iter().map(<[NodeId]>::len).sum::<usize>()
+            })
+            .sum();
+        // One record per slot (count + ends + nodes) plus one start per
+        // slot; 256 slots fit in one block.
+        let exact = 4 * (words + 16 * 16) + std::mem::size_of::<Box<[NodeId]>>();
+        assert_eq!(t.resident_bytes(), exact);
     }
 
     #[test]
-    fn streaming_build_equals_compute_then_compress() {
+    fn streaming_build_equals_compute() {
         let g = small_graph();
         for sel in [PathSelection::SinglePath, PathSelection::RKsp(3), PathSelection::EdKsp(2)] {
             let direct = PathTable::compute(&g, sel, &PairSet::AllPairs, 11);
             // Deliberately awkward block size to cross row boundaries.
             let streamed = PathTable::compute_streaming(&g, sel, 11, 5);
-            assert!(streamed.is_compact());
             assert_eq!(streamed, direct, "{}", sel.name());
             assert_eq!(streamed.max_hops(), direct.max_hops());
-            assert!(streamed.resident_bytes() < direct.resident_bytes());
+            assert!(streamed.resident_bytes() <= direct.resident_bytes());
         }
+    }
+
+    /// `rerouted` is clone + `apply_faults` + `repair(affected)` in one
+    /// pass, on all-pairs and pair-subset tables alike.
+    #[test]
+    fn rerouted_equals_clone_mask_repair() {
+        use jellyfish_topology::{DegradedGraph, FaultPlan};
+        let g = small_graph();
+        let plan = FaultPlan::random_links(&g, 0.1, 0, 33);
+        let view = DegradedGraph::at_time(&g, &plan, 0);
+        let subset = PairSet::Pairs(vec![(0, 9), (9, 0), (3, 12), (7, 2), (15, 1)]);
+        for pairs in [PairSet::AllPairs, subset] {
+            let live = PathTable::compute(&g, PathSelection::REdKsp(4), &pairs, 5);
+            let (table, report, repaired) = live.rerouted(&view, 9);
+            let mut reference = live.clone();
+            let expected = reference.apply_faults(&view);
+            let expected_repaired = reference.repair(&view, &expected.affected_pairs(), 9);
+            assert!(!expected.affected.is_empty());
+            assert_eq!(table, reference);
+            assert_eq!(report.affected, expected.affected);
+            assert_eq!(report.paths_removed, expected.paths_removed);
+            assert_eq!(report.disconnected_pairs, expected.disconnected_pairs);
+            assert_eq!(repaired, expected_repaired);
+        }
+    }
+
+    /// Tables larger than one arena block: lookups, the fault round and
+    /// the row-block builder agree across block boundaries.
+    #[test]
+    fn multi_block_tables_agree_across_block_boundaries() {
+        use jellyfish_topology::{DegradedGraph, FaultPlan};
+        let g = build_rrg(RrgParams::new(72, 8, 5), ConstructionMethod::Incremental, 4).unwrap();
+        let sel = PathSelection::RKsp(2);
+        let subset =
+            PairSet::Pairs((0..72u32).flat_map(|s| (0..72u32).map(move |d| (s, d))).collect());
+        let dense = PathTable::compute(&g, sel, &PairSet::AllPairs, 3);
+        let sparse = PathTable::compute(&g, sel, &subset, 3);
+        assert!(dense.slots() > BLOCK_SLOTS && sparse.slots() > BLOCK_SLOTS);
+        for (s, d, ps) in dense.entries() {
+            let expected = sel.paths_for_pair(&g, s, d, 3);
+            assert_eq!(ps.iter().map(<[NodeId]>::to_vec).collect::<Vec<_>>(), expected);
+            assert_eq!(sparse.get(s, d), Some(ps));
+        }
+        assert_eq!(PathTable::compute_streaming(&g, sel, 3, 7), dense);
+        let plan = FaultPlan::random_links(&g, 0.05, 0, 8);
+        let view = DegradedGraph::at_time(&g, &plan, 0);
+        for live in [dense, sparse] {
+            let (table, report, repaired) = live.rerouted(&view, 1);
+            let mut reference = live.clone();
+            let expected = reference.apply_faults(&view);
+            assert_eq!(report.affected, expected.affected);
+            assert_eq!(repaired, reference.repair(&view, &expected.affected_pairs(), 1));
+            assert_eq!(table, reference);
+            let mut trimmed = table.clone();
+            trimmed.retain_max_hops(table.max_hops() - 1);
+            for (s, d, ps) in table.entries() {
+                let kept: Vec<&[NodeId]> =
+                    ps.iter().filter(|p| p.len() < table.max_hops() + 1).collect();
+                let got: Vec<&[NodeId]> = trimmed.get(s, d).unwrap().iter().collect();
+                assert_eq!(got, kept, "{s}->{d}");
+            }
+        }
+    }
+
+    /// Repairing a pair a pair-subset table lacks adds it, in key order.
+    #[test]
+    fn repair_inserts_missing_pairs_into_subset_tables() {
+        let g = small_graph();
+        let mut t = PathTable::compute(&g, PathSelection::Ksp(2), &PairSet::Pairs(vec![(5, 6)]), 0);
+        let view = jellyfish_topology::DegradedGraph::new(&g);
+        assert_eq!(t.repair(&view, &[(9, 1), (0, 3)], 0), 2);
+        let pairs: Vec<(NodeId, NodeId)> = t.entries().map(|(s, d, _)| (s, d)).collect();
+        assert_eq!(pairs, vec![(0, 3), (5, 6), (9, 1)]);
+        let fresh =
+            PathTable::compute(&g, PathSelection::Ksp(2), &PairSet::Pairs(pairs.clone()), 0);
+        assert_eq!(t, fresh);
     }
 
     #[test]

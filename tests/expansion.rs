@@ -124,8 +124,8 @@ proptest! {
         }
     }
 
-    /// The streaming, block-compacting builder computes the same table
-    /// as compute-then-compress for the schemes it specializes.
+    /// The streaming, row-block builder computes the same table as
+    /// `compute`, in no more memory, for the schemes it specializes.
     #[test]
     fn streaming_build_matches_direct_compute(
         (params, seed, _) in expandable_rrg(),
@@ -135,8 +135,8 @@ proptest! {
         for sel in [PathSelection::SinglePath, PathSelection::EdKsp(2)] {
             let streamed = PathTable::compute_streaming(&g, sel, seed, block_rows);
             let direct = PathTable::compute(&g, sel, &PairSet::AllPairs, seed);
-            prop_assert!(streamed.is_compact());
             prop_assert_eq!(&streamed, &direct, "{} differs", sel.name());
+            prop_assert!(streamed.resident_bytes() <= direct.resident_bytes());
         }
     }
 }

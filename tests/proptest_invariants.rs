@@ -271,4 +271,67 @@ mod fault_invariants {
             }
         }
     }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The single-pass fault round is the three-step one: `rerouted`
+        /// returns the same table, report and repaired count as clone +
+        /// `apply_faults` + `repair(affected)`, for every selection, on
+        /// all-pairs and pair-subset tables, over two cumulative rounds.
+        #[test]
+        fn rerouted_equals_clone_apply_repair(
+            (params, seed) in rrg_params(),
+            k in 1usize..5,
+            scheme in 0usize..4,
+            all_pairs in any::<bool>(),
+            fault_seed in any::<u64>(),
+            fail_counts in (1usize..5, 0usize..4),
+            fail_switch in any::<bool>(),
+        ) {
+            let g = build_rrg(params, ConstructionMethod::Incremental, seed).unwrap();
+            let sel = [
+                PathSelection::Ksp(k),
+                PathSelection::RKsp(k),
+                PathSelection::EdKsp(k),
+                PathSelection::REdKsp(k),
+            ][scheme];
+            let n = params.switches as u32;
+            let mut rng = StdRng::seed_from_u64(fault_seed);
+            let pairs = if all_pairs {
+                PairSet::AllPairs
+            } else {
+                PairSet::Pairs(
+                    (0..2 * n)
+                        .map(|_| (rng.random_range(0..n), rng.random_range(0..n)))
+                        .collect(),
+                )
+            };
+            let mut live = PathTable::compute(&g, sel, &pairs, seed);
+            let edges: Vec<(u32, u32)> = g.edges().collect();
+            let mut view = DegradedGraph::new(&g);
+            for (round, fails) in [fail_counts.0, fail_counts.1].into_iter().enumerate() {
+                for _ in 0..fails {
+                    let &(u, v) = edges.choose(&mut rng).unwrap();
+                    view.apply(FaultKind::Link { u, v });
+                }
+                if fail_switch && round == 1 {
+                    view.apply(FaultKind::Switch { node: rng.random_range(0..n) });
+                }
+                let round_seed = fault_seed ^ round as u64;
+                let (rerouted, report, repaired) = live.rerouted(&view, round_seed);
+                let mut reference = live.clone();
+                let expected = reference.apply_faults(&view);
+                let expected_repaired =
+                    reference.repair(&view, &expected.affected_pairs(), round_seed);
+                prop_assert_eq!(&rerouted, &reference, "{} round {}", sel.name(), round);
+                prop_assert_eq!(rerouted.max_hops(), reference.max_hops());
+                prop_assert_eq!(&report.affected, &expected.affected);
+                prop_assert_eq!(report.paths_removed, expected.paths_removed);
+                prop_assert_eq!(report.disconnected_pairs, expected.disconnected_pairs);
+                prop_assert_eq!(repaired, expected_repaired);
+                live = rerouted;
+            }
+        }
+    }
 }
