@@ -29,6 +29,7 @@
 #[cfg(feature = "audit")]
 pub mod audit;
 pub mod config;
+mod fifo;
 pub mod mechanism;
 #[cfg(feature = "obs")]
 pub mod observe;

@@ -447,6 +447,16 @@ impl<'a> ParallelSimulator<'a> {
         self.cells[owner].lock().expect("no prior panic").sim.audit_corrupt_credit(link, vc);
     }
 
+    /// Test hook (`audit` feature): flips one occupancy bit on the shard
+    /// owning the link's input buffer, so seeded-violation tests can
+    /// verify the merged occupancy-mask check reads the in-port key.
+    #[cfg(feature = "audit")]
+    #[doc(hidden)]
+    pub fn audit_corrupt_occupancy(&mut self, link: LinkId, vc: u16) {
+        let owner = self.shard_of[self.graph.link_dst(link) as usize] as usize;
+        self.cells[owner].lock().expect("no prior panic").sim.audit_corrupt_occupancy(link, vc);
+    }
+
     /// Test hook (`audit` feature): permanently blocks a host's
     /// ejection port on its owning shard.
     #[cfg(feature = "audit")]
@@ -970,8 +980,7 @@ fn merged_audit(
     // inbox counts as the wire it is crossing).
     let src_queued: u64 =
         cells.iter().map(|c| c.sim.src_q.iter().map(|q| q.len() as u64).sum::<u64>()).sum();
-    let buffered: u64 =
-        cells.iter().map(|c| c.sim.in_buf.iter().map(|q| q.len() as u64).sum::<u64>()).sum();
+    let buffered: u64 = cells.iter().map(|c| c.sim.in_buf.total_len()).sum();
     let on_wire: u64 =
         cells.iter().map(|c| c.sim.chan.iter().map(|s| s.len() as u64).sum::<u64>()).sum::<u64>()
             + inbox_flits;
@@ -1023,8 +1032,8 @@ fn merged_audit(
                     note(c.sim.arena.flow(pid));
                 }
             }
-            for q in &c.sim.in_buf {
-                for &pid in q {
+            for q in 0..c.sim.in_buf.num_queues() {
+                for pid in c.sim.in_buf.iter(q) {
                     note(c.sim.arena.flow(pid));
                 }
             }
@@ -1071,7 +1080,7 @@ fn merged_audit(
     // untouched initial value); buffered/in-flight tallies sum across
     // shards and boundary inboxes (non-owned entries are empty).
     let num_vcs = cells[0].sim.num_vcs;
-    let nq = cells[0].sim.in_buf.len();
+    let nq = cells[0].sim.in_buf.num_queues();
     a.reset_scratch(nq);
     for c in cells.iter() {
         for slot in &c.sim.chan {
@@ -1114,7 +1123,7 @@ fn merged_audit(
         let src_cell = sh.shard_of[sh.graph.link_src(link) as usize] as usize;
         let dst_cell = sh.shard_of[sh.graph.link_dst(link) as usize] as usize;
         let credits = cells[src_cell].sim.credits[qi] as u64;
-        let in_buf_len = cells[dst_cell].sim.in_buf[qi].len();
+        let in_buf_len = cells[dst_cell].sim.in_buf.len(qi);
         let occupancy = in_buf_len as u64 + a.chan_in_flight[qi] as u64 + a.cred_pending[qi] as u64;
         let have = credits + flits * occupancy;
         if have != sh.cfg.vc_buffer as u64 {
@@ -1136,22 +1145,24 @@ fn merged_audit(
             ));
         }
     }
-    // vc_occ bitmask agrees with input-buffer emptiness (checked on the
-    // buffer's owning shard).
+    // vc_occ bitmask agrees with input-buffer emptiness, both read on
+    // the buffer's owning shard: the mask is keyed by the receiving
+    // in-port's slot (the reverse link), an out-link of the same router.
     let links = sh.graph.num_links();
     for link in 0..links {
         let own = sh.shard_of[sh.graph.link_dst(link as LinkId) as usize] as usize;
         let c = &cells[own];
+        let port = sh.graph.reverse_link(link as LinkId) as usize;
         for vc in 0..num_vcs {
             let qi = link * num_vcs + vc;
-            let bit = c.sim.vc_occ[link] & (1 << vc) != 0;
-            if bit == c.sim.in_buf[qi].is_empty() {
+            let bit = c.sim.vc_occ[port] & (1 << vc) != 0;
+            if bit == c.sim.in_buf.is_empty(qi) {
                 return Err(a.violation(
                     "occupancy-mask",
                     cycle,
                     format!(
                         "link {link} vc {vc}: vc_occ bit {bit} but buffer holds {} packet(s)",
-                        c.sim.in_buf[qi].len()
+                        c.sim.in_buf.len(qi)
                     ),
                 ));
             }
@@ -1170,7 +1181,7 @@ fn merged_audit(
     for qi in 0..nq {
         let own = sh.shard_of[sh.graph.link_dst((qi / num_vcs) as LinkId) as usize] as usize;
         let c = &cells[own];
-        for &pid in &c.sim.in_buf[qi] {
+        for pid in c.sim.in_buf.iter(qi) {
             c.sim.audit_packet(a, pid, Some((qi as u32, false)), None)?;
         }
     }
@@ -1226,14 +1237,15 @@ fn audit_boundary_flit(
             format!("boundary pkt on link {link} vc {vc}: hop {hop} != vc + 1"),
         ));
     }
-    if hop >= m.path.len() || m.path[hop] != sh.graph.link_dst(link) {
+    let path = m.route();
+    if hop >= path.len() || path[hop] != sh.graph.link_dst(link) {
         return Err(a.violation(
             "route-validity",
             cycle,
             format!(
                 "boundary pkt on link {link} (-> {}) but its route puts hop {hop} at {:?}",
                 sh.graph.link_dst(link),
-                m.path.get(hop)
+                path.get(hop)
             ),
         ));
     }
@@ -1246,7 +1258,7 @@ fn audit_boundary_flit(
             ));
         }
     }
-    let hops_total = m.path.len().saturating_sub(1);
+    let hops_total = path.len().saturating_sub(1);
     if hops_total > num_vcs {
         return Err(a.violation(
             "route-validity",
@@ -1257,7 +1269,7 @@ fn audit_boundary_flit(
             ),
         ));
     }
-    for w in m.path[hop..].windows(2) {
+    for w in path[hop..].windows(2) {
         if sh.graph.link_id(w[0], w[1]).is_none() {
             return Err(a.violation(
                 "route-validity",

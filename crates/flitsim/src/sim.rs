@@ -16,6 +16,7 @@
 #[cfg(feature = "audit")]
 use crate::audit::{self, AuditConfig, AuditEvent, Auditor, Violation};
 use crate::config::{EstimateForm, InjectionProcess, SimConfig};
+use crate::fifo::Fifos;
 use crate::mechanism::Mechanism;
 #[cfg(feature = "obs")]
 use crate::observe::{ObserveConfig, SimMetrics, SimObserver};
@@ -46,13 +47,20 @@ pub(crate) fn stream_seed(seed: u64, kind: u64, idx: u64) -> u64 {
 /// Index of a packet in the arena.
 pub(crate) type PacketId = u32;
 
+/// Most hop-indexed VCs a simulator uses: the width of a `vc_occ` mask.
+const MAX_VCS: usize = 32;
+
+/// Longest route a packet can carry: one switch per hop-indexed VC plus
+/// the source switch.
+const MAX_ROUTE: usize = MAX_VCS + 1;
+
 /// Packet store in struct-of-arrays layout with a free list.
 ///
-/// The per-cycle hot fields (`hop`, `dst_host`) pack densely instead of
-/// dragging each packet's cold `Vec` pointer triple through the cache
-/// on every head-of-queue inspection, and a cross-shard hand-off is a
-/// few scalar copies plus a route-buffer move, never a clone. `path`
-/// buffers are recycled through the free list.
+/// The per-cycle hot fields (`hop`, `dst_host`) pack densely, and every
+/// route lives inline in one flat array at a fixed stride of
+/// `num_vcs + 1` switches, so a head-of-queue inspection never chases a
+/// per-packet heap pointer and recycling a slot frees nothing. A
+/// cross-shard hand-off is a few scalar copies plus the route words.
 #[derive(Debug, Default)]
 pub(crate) struct Arena {
     /// Network links traversed so far; also the VC for the next traversal.
@@ -62,10 +70,15 @@ pub(crate) struct Arena {
     /// Cycles spent stuck behind a failed link without a reroute; the
     /// packet drops once this exceeds the configured retry budget.
     retries: Vec<u32>,
-    /// Switch-level route `[src_sw, ..., dst_sw]`; empty until the packet
+    /// Switch-level routes `[src_sw, ..., dst_sw]`, packet `i` at
+    /// `route[i * stride..][..route_len[i]]`. Empty until the packet
     /// reaches the head of its source queue (adaptive decisions use
     /// fresh network state).
-    path: Vec<Vec<NodeId>>,
+    route: Vec<NodeId>,
+    route_len: Vec<u8>,
+    /// Route slots per packet: `num_vcs + 1`, since a packet takes at
+    /// most one hop per hop-indexed VC.
+    stride: usize,
     /// Owning flow uid (`u64::MAX` = legacy packet outside any flow).
     flow: Vec<u64>,
     /// Owning flow's length in packets (completion threshold).
@@ -76,10 +89,21 @@ pub(crate) struct Arena {
 }
 
 impl Arena {
+    fn new(num_vcs: usize) -> Self {
+        Self { stride: num_vcs + 1, ..Self::default() }
+    }
+
+    /// Resizes route slots for a new VC count; only before any packet
+    /// exists.
+    fn restride(&mut self, num_vcs: usize) {
+        assert!(self.hop.is_empty(), "restride an empty arena only");
+        self.stride = num_vcs + 1;
+    }
+
     fn alloc(&mut self, dst_host: u32, gen_cycle: u32) -> PacketId {
         if let Some(id) = self.free.pop() {
             let i = id as usize;
-            self.path[i].clear();
+            self.route_len[i] = 0;
             self.hop[i] = 0;
             self.dst_host[i] = dst_host;
             self.gen_cycle[i] = gen_cycle;
@@ -93,11 +117,12 @@ impl Arena {
             self.dst_host.push(dst_host);
             self.gen_cycle.push(gen_cycle);
             self.retries.push(0);
-            self.path.push(Vec::new());
+            self.route.resize(self.route.len() + self.stride, 0);
+            self.route_len.push(0);
             self.flow.push(u64::MAX);
             self.flow_size.push(0);
             self.flow_arrival.push(0);
-            (self.path.len() - 1) as PacketId
+            (self.hop.len() - 1) as PacketId
         }
     }
 
@@ -119,7 +144,7 @@ impl Arena {
     }
 
     /// Re-materializes a packet received across a shard boundary.
-    fn alloc_from_msg(&mut self, m: FlitMsg) -> PacketId {
+    fn alloc_from_msg(&mut self, m: &FlitMsg) -> PacketId {
         let id = self.alloc(m.dst_host, m.gen_cycle);
         let i = id as usize;
         self.hop[i] = m.hop;
@@ -127,16 +152,14 @@ impl Arena {
         self.flow[i] = m.flow;
         self.flow_size[i] = m.flow_size;
         self.flow_arrival[i] = m.flow_arrival;
-        // Reuse the recycled buffer: the moved-in route replaces it and
-        // the old capacity returns to the free pool via the message.
-        self.path[i] = m.path;
+        self.set_route(id, m.route());
         id
     }
 
-    /// Moves a packet out for a shard hand-off, releasing its slot.
+    /// Copies a packet out for a shard hand-off, releasing its slot.
     fn take_for_handoff(&mut self, id: PacketId, arrive: u32, qi: u32) -> FlitMsg {
         let i = id as usize;
-        let msg = FlitMsg {
+        let mut msg = FlitMsg {
             arrive,
             qi,
             hop: self.hop[i],
@@ -146,8 +169,11 @@ impl Arena {
             flow: self.flow[i],
             flow_size: self.flow_size[i],
             flow_arrival: self.flow_arrival[i],
-            path: std::mem::take(&mut self.path[i]),
+            route_len: self.route_len[i],
+            route: [0; MAX_ROUTE],
         };
+        let route = self.route(id);
+        msg.route[..route.len()].copy_from_slice(route);
         self.release(id);
         msg
     }
@@ -187,24 +213,32 @@ impl Arena {
         self.flow_arrival[id as usize]
     }
 
+    /// The packet's route (empty until routed).
     #[inline]
-    fn path(&self, id: PacketId) -> &[NodeId] {
-        &self.path[id as usize]
+    fn route(&self, id: PacketId) -> &[NodeId] {
+        let i = id as usize;
+        &self.route[i * self.stride..][..self.route_len[i] as usize]
     }
 
+    /// Sets the packet's route.
     #[inline]
-    fn take_path(&mut self, id: PacketId) -> Vec<NodeId> {
-        std::mem::take(&mut self.path[id as usize])
+    fn set_route(&mut self, id: PacketId, route: &[NodeId]) {
+        self.splice_route(id, 0, route);
     }
 
+    /// Keeps the first `keep` switches of the route and appends `tail`.
+    ///
+    /// # Panics
+    /// Panics if the route outgrows the packet's slot: it would need more
+    /// hop-indexed VCs than the simulator has.
     #[inline]
-    fn set_path(&mut self, id: PacketId, p: Vec<NodeId>) {
-        self.path[id as usize] = p;
-    }
-
-    #[inline]
-    fn path_mut(&mut self, id: PacketId) -> &mut Vec<NodeId> {
-        &mut self.path[id as usize]
+    fn splice_route(&mut self, id: PacketId, keep: usize, tail: &[NodeId]) {
+        let len = keep + tail.len();
+        assert!(len <= self.stride, "route of {len} switches exceeds the VC budget");
+        let i = id as usize;
+        debug_assert!(keep <= self.route_len[i] as usize);
+        self.route[i * self.stride + keep..][..tail.len()].copy_from_slice(tail);
+        self.route_len[i] = len as u8;
     }
 
     #[inline]
@@ -224,13 +258,13 @@ impl Arena {
     }
 
     pub(crate) fn live(&self) -> usize {
-        self.path.len() - self.free.len()
+        self.hop.len() - self.free.len()
     }
 }
 
 /// A packet crossing a shard boundary: everything the receiving shard
-/// needs to re-materialize it in its own arena. The route buffer is
-/// moved out of the sender's arena, not cloned.
+/// needs to re-materialize it in its own arena, route included inline,
+/// so a hand-off allocates nothing.
 #[derive(Debug)]
 pub(crate) struct FlitMsg {
     /// Absolute cycle the tail flit lands in the downstream buffer.
@@ -245,7 +279,15 @@ pub(crate) struct FlitMsg {
     pub(crate) flow: u64,
     pub(crate) flow_size: u32,
     pub(crate) flow_arrival: u32,
-    pub(crate) path: Vec<NodeId>,
+    route_len: u8,
+    route: [NodeId; MAX_ROUTE],
+}
+
+impl FlitMsg {
+    /// The packet's switch-level route.
+    pub(crate) fn route(&self) -> &[NodeId] {
+        &self.route[..self.route_len as usize]
+    }
 }
 
 /// A credit return owed to a link whose sending router lives on another
@@ -366,9 +408,12 @@ pub struct Simulator<'a> {
     /// Per-router routing/fault-reroute randomness (indexed by switch).
     router_rng: Vec<StdRng>,
     pub(crate) arena: Arena,
-    /// Input buffer occupancy per `(link, vc)`.
-    pub(crate) in_buf: Vec<VecDeque<PacketId>>,
-    /// Bitmask of non-empty VC queues per in-link (hot-loop skip).
+    /// Input buffer per `(link, vc)`, indexed by [`Self::qi`].
+    pub(crate) in_buf: Fifos,
+    /// Bitmask of non-empty VC queues per router in-port, keyed by the
+    /// in-port's slot: in-port `i` of router `r` (the in-link reversing
+    /// out-link `out_links(r).start + i`) sits at that out-link's id, so
+    /// a router's ports form one contiguous run (hot-loop skip).
     pub(crate) vc_occ: Vec<u32>,
     /// Free downstream slots per `(link, vc)` as seen by the sender.
     pub(crate) credits: Vec<u16>,
@@ -460,7 +505,6 @@ pub struct Simulator<'a> {
     reqs: Vec<Request>,
     out_heads: Vec<i32>,
     next_req: Vec<i32>,
-    granted_req: Vec<bool>,
     grants: Vec<usize>,
 }
 
@@ -504,7 +548,7 @@ impl<'a> Simulator<'a> {
         let max_out = (0..graph.num_nodes() as NodeId).map(|u| graph.degree(u)).max().unwrap_or(0)
             + params.hosts_per_switch();
         assert!(max_out <= 64, "router radix {max_out} exceeds the allocator's 64-port limit");
-        assert!(num_vcs <= 32, "hop-indexed VC count {num_vcs} exceeds the 32-bit occupancy mask");
+        assert!(num_vcs <= MAX_VCS, "hop-indexed VC count {num_vcs} exceeds the occupancy mask");
         Self {
             graph,
             params,
@@ -521,8 +565,8 @@ impl<'a> Simulator<'a> {
             router_rng: (0..graph.num_nodes() as u64)
                 .map(|r| StdRng::seed_from_u64(stream_seed(cfg.seed, 1, r)))
                 .collect(),
-            arena: Arena::default(),
-            in_buf: (0..links * num_vcs).map(|_| VecDeque::new()).collect(),
+            arena: Arena::new(num_vcs),
+            in_buf: Fifos::new(links * num_vcs),
             vc_occ: vec![0; links],
             credits: vec![cfg.vc_buffer; links * num_vcs],
             src_q: (0..hosts).map(|_| VecDeque::new()).collect(),
@@ -564,7 +608,6 @@ impl<'a> Simulator<'a> {
             reqs: Vec::with_capacity(256),
             out_heads: vec![-1; max_out],
             next_req: Vec::with_capacity(256),
-            granted_req: Vec::with_capacity(256),
             grants: Vec::with_capacity(64),
         }
     }
@@ -582,11 +625,12 @@ impl<'a> Simulator<'a> {
     /// that budget are trimmed when faults apply.
     pub fn with_fault_plan(mut self, plan: &'a FaultPlan) -> Self {
         assert_eq!(self.cycle, 0, "attach fault plans before running");
-        let vcs = (self.num_vcs + 2).min(32);
+        let vcs = (self.num_vcs + 2).min(MAX_VCS);
         if vcs != self.num_vcs {
             self.num_vcs = vcs;
             let links = self.graph.num_links();
-            self.in_buf = (0..links * vcs).map(|_| VecDeque::new()).collect();
+            self.in_buf = Fifos::new(links * vcs);
+            self.arena.restride(vcs);
             self.credits = vec![self.cfg.vc_buffer; links * vcs];
             self.hop_hist = vec![0; vcs + 1];
         }
@@ -686,7 +730,7 @@ impl<'a> Simulator<'a> {
         debug_assert!(m.arrive > self.cycle);
         let slot = m.arrive as usize % self.chan.len();
         let qi = m.qi;
-        let id = self.arena.alloc_from_msg(m);
+        let id = self.arena.alloc_from_msg(&m);
         self.chan[slot].push((id, qi));
     }
 
@@ -718,16 +762,18 @@ impl<'a> Simulator<'a> {
     /// the input buffers and credit counters.
     pub(crate) fn deliver_due(&mut self) {
         let slot = self.cycle as usize % self.chan.len();
-        let arrivals = std::mem::take(&mut self.chan[slot]);
-        for (pkt, qi) in arrivals {
-            self.in_buf[qi as usize].push_back(pkt);
-            self.vc_occ[qi as usize / self.num_vcs] |= 1 << (qi as usize % self.num_vcs);
+        // Drain in place so each delay-line slot keeps its capacity.
+        for &(pkt, qi) in &self.chan[slot] {
+            self.in_buf.push_back(qi as usize, pkt);
+            let port = self.graph.reverse_link(qi / self.num_vcs as u32);
+            self.vc_occ[port as usize] |= 1 << (qi as usize % self.num_vcs);
         }
-        let returns = std::mem::take(&mut self.cred[slot]);
-        for qi in returns {
+        self.chan[slot].clear();
+        for &qi in &self.cred[slot] {
             self.credits[qi as usize] += self.cfg.packet_flits;
             debug_assert!(self.credits[qi as usize] <= self.cfg.vc_buffer);
         }
+        self.cred[slot].clear();
     }
 
     /// Total downstream occupancy of the channel `u -> v` over all VCs —
@@ -753,12 +799,12 @@ impl<'a> Simulator<'a> {
         }
     }
 
-    /// Chooses the route for a packet from `src_sw` to `dst_sw` and writes
-    /// it into `out`.
-    fn choose_path(&mut self, src_sw: NodeId, dst_sw: NodeId, out: &mut Vec<NodeId>) {
-        out.clear();
+    /// Chooses the route for packet `pkt` from `src_sw` to `dst_sw` and
+    /// stores it in the arena; the route stays empty when faults left
+    /// no path.
+    fn choose_path(&mut self, pkt: PacketId, src_sw: NodeId, dst_sw: NodeId) {
         if src_sw == dst_sw {
-            out.push(src_sw);
+            self.arena.set_route(pkt, &[src_sw]);
             return;
         }
         let table = self.degraded_table.as_ref().unwrap_or(self.table);
@@ -772,17 +818,17 @@ impl<'a> Simulator<'a> {
         }
         let k = ps.len();
         match self.mechanism {
-            Mechanism::SinglePath => out.extend_from_slice(ps.path(0)),
+            Mechanism::SinglePath => self.arena.set_route(pkt, ps.path(0)),
             Mechanism::Random => {
                 let i = self.router_rng[src_sw as usize].random_range(0..k);
-                out.extend_from_slice(ps.path(i));
+                self.arena.set_route(pkt, ps.path(i));
             }
             Mechanism::RoundRobin => {
                 let key = ((src_sw as u64) << 32) | dst_sw as u64;
                 let ctr = self.rr_pair.entry(key).or_insert(0);
                 let i = (*ctr as usize) % k;
                 *ctr = ctr.wrapping_add(1);
-                out.extend_from_slice(ps.path(i));
+                self.arena.set_route(pkt, ps.path(i));
             }
             Mechanism::KspAdaptive => {
                 // Two random candidates among the k paths; smaller
@@ -799,7 +845,7 @@ impl<'a> Simulator<'a> {
                 };
                 let (a, b) = (ps.path(i), ps.path(j));
                 let pick = if self.estimate(a) <= self.estimate(b) { a } else { b };
-                out.extend_from_slice(pick);
+                self.arena.set_route(pkt, pick);
             }
             Mechanism::KspUgal => {
                 // Minimal = shortest table path; non-minimal = random
@@ -810,7 +856,7 @@ impl<'a> Simulator<'a> {
                 let mi = ps.shortest_index();
                 let min = ps.path(mi);
                 if k == 1 {
-                    out.extend_from_slice(min);
+                    self.arena.set_route(pkt, min);
                     return;
                 }
                 // One draw over the k-1 non-minimal indices; for sorted
@@ -823,7 +869,7 @@ impl<'a> Simulator<'a> {
                 let non = ps.path(j);
                 let take_min =
                     self.estimate(min) as i64 <= self.estimate(non) as i64 + self.cfg.ugal_bias;
-                out.extend_from_slice(if take_min { min } else { non });
+                self.arena.set_route(pkt, if take_min { min } else { non });
             }
             Mechanism::VanillaUgal => {
                 let sp = self.sp_table.expect("checked in new()");
@@ -846,10 +892,10 @@ impl<'a> Simulator<'a> {
                     EstimateForm::QueueTimesHops => q_non * non_hops,
                 };
                 if est_min as i64 <= est_non as i64 + self.cfg.ugal_bias {
-                    out.extend_from_slice(min);
+                    self.arena.set_route(pkt, min);
                 } else {
-                    out.extend_from_slice(leg1);
-                    out.extend_from_slice(&leg2[1..]);
+                    self.arena.set_route(pkt, leg1);
+                    self.arena.splice_route(pkt, leg1.len(), &leg2[1..]);
                 }
             }
         }
@@ -983,16 +1029,23 @@ impl<'a> Simulator<'a> {
             // Gather requests.
             self.reqs.clear();
             // Network inputs: local in-port i is the reverse direction of
-            // local out-link i.
+            // local out-link i, and its occupancy sits at that out-link's
+            // slot, so idle ports cost one read each.
             for i in 0..deg {
-                let out_link = out_base + i as u32;
-                let in_link = self.graph.reverse_link(out_link);
-                let mut occ = self.vc_occ[in_link as usize];
+                let port = out_base + i as u32;
+                let mut occ = self.vc_occ[port as usize];
+                if occ == 0 {
+                    continue;
+                }
+                let in_link = self.graph.reverse_link(port);
                 while occ != 0 {
                     let vc = occ.trailing_zeros() as u16;
                     occ &= occ - 1;
                     let qi = self.qi(in_link, vc);
-                    let pkt = *self.in_buf[qi as usize].front().expect("occupancy bit set");
+                    // A bit over an empty queue breaks the occupancy-mask
+                    // invariant; it is skipped here and reported by the
+                    // auditor.
+                    let Some(pkt) = self.in_buf.front(qi as usize) else { continue };
                     if self.fault_view.is_some() && !self.fault_fate(pkt, r) {
                         self.drop_net_head(qi);
                         continue;
@@ -1012,12 +1065,10 @@ impl<'a> Simulator<'a> {
                 };
                 // Route on first observation at the head of the queue so
                 // adaptive mechanisms see current congestion.
-                if self.arena.path(pkt).is_empty() {
+                if self.arena.route(pkt).is_empty() {
                     let dst_sw = self.params.switch_of_host(self.arena.dst_host(pkt) as usize);
-                    let mut path = self.arena.take_path(pkt);
-                    self.choose_path(r, dst_sw, &mut path);
-                    self.arena.set_path(pkt, path);
-                    if self.arena.path(pkt).is_empty() {
+                    self.choose_path(pkt, r, dst_sw);
+                    if self.arena.route(pkt).is_empty() {
                         // No surviving route to the destination.
                         self.src_q[h].pop_front();
                         #[cfg(feature = "audit")]
@@ -1066,60 +1117,57 @@ impl<'a> Simulator<'a> {
             #[cfg(feature = "obs")]
             let arb_span = detail.then(|| jellyfish_obs::trace::span("flitsim.phase.arbitrate"));
 
-            // Separable allocation with `alloc_iters` iterations: each
-            // output grants at most one request per cycle (channel bound);
-            // each input port wins at most `alloc_iters` times (router
-            // speedup).
-            let num_out = deg + hps;
-            // Chain requests per output: out_heads[o] -> first req index.
-            let out_heads = &mut self.out_heads[..num_out];
-            out_heads.fill(-1);
+            // Separable allocation: each output grants at most one
+            // request per cycle (channel bound); each input port wins at
+            // most `alloc_iters` times (router speedup). Requests chain
+            // per output in request order (out_heads[o] -> first index),
+            // and `pending` marks the outputs that have any.
+            let mut pending = 0u64;
             self.next_req.clear();
             self.next_req.resize(self.reqs.len(), -1);
             for (idx, req) in self.reqs.iter().enumerate().rev() {
-                self.next_req[idx] = out_heads[req.out_local as usize];
-                out_heads[req.out_local as usize] = idx as i32;
+                let o = req.out_local as usize;
+                if pending & (1 << o) != 0 {
+                    self.next_req[idx] = self.out_heads[o];
+                }
+                self.out_heads[o] = idx as i32;
+                pending |= 1 << o;
             }
+            // Outputs in ascending order, in one pass: every request
+            // belongs to one output, and input win counts only grow, so
+            // an output that finds no eligible request on its visit
+            // would find none on a second sweep either. Repeating the
+            // sweep `alloc_iters` times would grant nothing more.
+            let total_in = (deg + hps) as u16;
             let mut in_grants = [0u8; 64];
-            self.granted_req.clear();
-            self.granted_req.resize(self.reqs.len(), false);
             self.grants.clear();
-            for _ in 0..self.cfg.alloc_iters {
-                #[allow(clippy::needless_range_loop)] // o indexes three arrays
-                for o in 0..num_out {
-                    if out_heads[o] == i32::MIN || out_heads[o] == -1 {
-                        continue; // no requests / already granted this cycle
-                    }
-                    // Round-robin pointer over local input indices.
-                    let rr_key = if o < deg {
-                        (out_base + o as u32) as usize
-                    } else {
-                        self.graph.num_links() + host_range.start + (o - deg)
-                    };
-                    let ptr = self.rr[rr_key];
-                    let mut best: Option<(u16, usize)> = None; // (rotated idx, req)
-                    let total_in = (deg + hps) as u16;
-                    let mut cur = out_heads[o];
-                    while cur >= 0 {
-                        let req = &self.reqs[cur as usize];
-                        if !self.granted_req[cur as usize]
-                            && in_grants[req.local_in as usize] < self.cfg.alloc_iters
-                        {
-                            let rot = (req.local_in + total_in - ptr) % total_in;
-                            if best.is_none_or(|(b, _)| rot < b) {
-                                best = Some((rot, cur as usize));
-                            }
+            while pending != 0 {
+                let o = pending.trailing_zeros() as usize;
+                pending &= pending - 1;
+                // Round-robin pointer over local input indices.
+                let rr_key = if o < deg {
+                    (out_base + o as u32) as usize
+                } else {
+                    self.graph.num_links() + host_range.start + (o - deg)
+                };
+                let ptr = self.rr[rr_key];
+                let mut best: Option<(u16, usize)> = None; // (rotated idx, req)
+                let mut cur = self.out_heads[o];
+                while cur >= 0 {
+                    let req = &self.reqs[cur as usize];
+                    if in_grants[req.local_in as usize] < self.cfg.alloc_iters {
+                        let rot = (req.local_in + total_in - ptr) % total_in;
+                        if best.is_none_or(|(b, _)| rot < b) {
+                            best = Some((rot, cur as usize));
                         }
-                        cur = self.next_req[cur as usize];
                     }
-                    if let Some((_, ridx)) = best {
-                        self.granted_req[ridx] = true;
-                        let li = self.reqs[ridx].local_in;
-                        in_grants[li as usize] += 1;
-                        self.rr[rr_key] = (li + 1) % total_in;
-                        self.grants.push(ridx);
-                        out_heads[o] = i32::MIN;
-                    }
+                    cur = self.next_req[cur as usize];
+                }
+                if let Some((_, ridx)) = best {
+                    let li = self.reqs[ridx].local_in;
+                    in_grants[li as usize] += 1;
+                    self.rr[rr_key] = (li + 1) % total_in;
+                    self.grants.push(ridx);
                 }
             }
 
@@ -1138,10 +1186,10 @@ impl<'a> Simulator<'a> {
                         // Return the freed slots' credit upstream after the
                         // channel latency.
                         self.push_credit_return(qi);
-                        let popped = self.in_buf[qi as usize].pop_front();
-                        if self.in_buf[qi as usize].is_empty() {
-                            self.vc_occ[qi as usize / self.num_vcs] &=
-                                !(1 << (qi as usize % self.num_vcs));
+                        let popped = self.in_buf.pop_front(qi as usize);
+                        if self.in_buf.is_empty(qi as usize) {
+                            let port = out_base as usize + req.local_in as usize;
+                            self.vc_occ[port] &= !(1 << (qi as usize % self.num_vcs));
                         }
                         popped
                     }
@@ -1243,12 +1291,12 @@ impl<'a> Simulator<'a> {
     /// exhausted its retry budget and must be dropped by the caller.
     fn fault_fate(&mut self, pkt_id: PacketId, r: NodeId) -> bool {
         let hop = self.arena.hop(pkt_id) as usize;
-        let path_len = self.arena.path(pkt_id).len();
+        let route = self.arena.route(pkt_id);
         let dst_host = self.arena.dst_host(pkt_id);
-        if hop + 1 >= path_len {
+        if hop + 1 >= route.len() {
             return true; // at the destination switch: ejection needs no link
         }
-        let next = self.arena.path(pkt_id)[hop + 1];
+        let next = route[hop + 1];
         let link = self.graph.link_id(r, next).expect("route follows edges");
         let view = self.fault_view.as_ref().expect("checked by caller");
         if view.link_is_live(link) {
@@ -1276,11 +1324,9 @@ impl<'a> Simulator<'a> {
         }
         match choice {
             Some(i) => {
-                let tail = table.get(r, dst_sw).expect("sampled above").path(i).to_vec();
-                let path = self.arena.path_mut(pkt_id);
-                path.truncate(hop + 1);
-                debug_assert_eq!(*path.last().expect("non-empty prefix"), r);
-                path.extend_from_slice(&tail[1..]);
+                let tail = table.get(r, dst_sw).expect("sampled above").path(i);
+                debug_assert_eq!(self.arena.route(pkt_id)[hop], r);
+                self.arena.splice_route(pkt_id, hop + 1, &tail[1..]);
                 self.arena.reset_retries(pkt_id);
                 self.rerouted += 1;
                 #[cfg(feature = "audit")]
@@ -1299,9 +1345,10 @@ impl<'a> Simulator<'a> {
     /// bookkeeping as a grant (upstream credit return, occupancy bit).
     fn drop_net_head(&mut self, qi: u32) {
         self.push_credit_return(qi);
-        let popped = self.in_buf[qi as usize].pop_front().expect("head exists");
-        if self.in_buf[qi as usize].is_empty() {
-            self.vc_occ[qi as usize / self.num_vcs] &= !(1 << (qi as usize % self.num_vcs));
+        let popped = self.in_buf.pop_front(qi as usize).expect("head exists");
+        if self.in_buf.is_empty(qi as usize) {
+            let port = self.graph.reverse_link(qi / self.num_vcs as u32);
+            self.vc_occ[port as usize] &= !(1 << (qi as usize % self.num_vcs));
         }
         #[cfg(feature = "audit")]
         {
@@ -1405,7 +1452,7 @@ impl<'a> Simulator<'a> {
                 let in_link = self.graph.reverse_link(l);
                 for vc in 0..self.num_vcs as u16 {
                     let qi = self.qi(in_link, vc) as usize;
-                    while let Some(p) = self.in_buf[qi].pop_front() {
+                    while let Some(p) = self.in_buf.pop_front(qi) {
                         #[cfg(feature = "audit")]
                         self.audit_record(AuditEvent::Drop {
                             cycle: self.cycle,
@@ -1418,7 +1465,7 @@ impl<'a> Simulator<'a> {
                         self.dropped += 1;
                     }
                 }
-                self.vc_occ[in_link as usize] = 0;
+                self.vc_occ[l as usize] = 0;
             }
         }
     }
@@ -1502,7 +1549,7 @@ impl<'a> Simulator<'a> {
     ) -> Option<Request> {
         let hop = self.arena.hop(pkt_id);
         let dst_host = self.arena.dst_host(pkt_id);
-        let path = self.arena.path(pkt_id);
+        let path = self.arena.route(pkt_id);
         let dst_sw = self.params.switch_of_host(dst_host as usize);
         debug_assert_eq!(path[hop as usize], r, "packet off its route");
         if r == dst_sw && hop as usize == path.len() - 1 {
@@ -1801,7 +1848,7 @@ impl<'a> Simulator<'a> {
         }
         // ...and every live packet sits in exactly one queue.
         let src_queued: u64 = self.src_q.iter().map(|q| q.len() as u64).sum();
-        let buffered: u64 = self.in_buf.iter().map(|q| q.len() as u64).sum();
+        let buffered = self.in_buf.total_len();
         let on_wire: u64 = self.chan.iter().map(|s| s.len() as u64).sum();
         if live != src_queued + buffered + on_wire {
             return Err(a.violation(
@@ -1834,8 +1881,8 @@ impl<'a> Simulator<'a> {
                     note(self.arena.flow(pid));
                 }
             }
-            for q in &self.in_buf {
-                for &pid in q {
+            for q in 0..self.in_buf.num_queues() {
+                for pid in self.in_buf.iter(q) {
                     note(self.arena.flow(pid));
                 }
             }
@@ -1878,7 +1925,7 @@ impl<'a> Simulator<'a> {
         // exempt: fault drops retire packets without returning credits
         // (and `fail_switch` fails every incident link, so the same
         // test covers switch failures).
-        let nq = self.in_buf.len();
+        let nq = self.in_buf.num_queues();
         a.reset_scratch(nq);
         for slot in &self.chan {
             for &(_, qi) in slot {
@@ -1898,7 +1945,7 @@ impl<'a> Simulator<'a> {
                     continue;
                 }
             }
-            let occupancy = self.in_buf[qi].len() as u64
+            let occupancy = self.in_buf.len(qi) as u64
                 + a.chan_in_flight[qi] as u64
                 + a.cred_pending[qi] as u64;
             let have = self.credits[qi] as u64 + flits * occupancy;
@@ -1913,7 +1960,7 @@ impl<'a> Simulator<'a> {
                          want vc_buffer {}",
                         qi % self.num_vcs,
                         self.credits[qi],
-                        self.in_buf[qi].len(),
+                        self.in_buf.len(qi),
                         a.chan_in_flight[qi],
                         a.cred_pending[qi],
                         self.cfg.vc_buffer
@@ -1921,18 +1968,20 @@ impl<'a> Simulator<'a> {
                 ));
             }
         }
-        // vc_occ bitmask agrees with input-buffer emptiness.
-        for link in 0..self.vc_occ.len() {
+        // vc_occ bitmask (keyed by the receiving in-port's slot, the
+        // reverse link) agrees with input-buffer emptiness.
+        for link in 0..self.graph.num_links() {
+            let port = self.graph.reverse_link(link as LinkId) as usize;
             for vc in 0..self.num_vcs {
                 let qi = link * self.num_vcs + vc;
-                let bit = self.vc_occ[link] & (1 << vc) != 0;
-                if bit == self.in_buf[qi].is_empty() {
+                let bit = self.vc_occ[port] & (1 << vc) != 0;
+                if bit == self.in_buf.is_empty(qi) {
                     return Err(a.violation(
                         "occupancy-mask",
                         cycle,
                         format!(
                             "link {link} vc {vc}: vc_occ bit {bit} but buffer holds {} packet(s)",
-                            self.in_buf[qi].len()
+                            self.in_buf.len(qi)
                         ),
                     ));
                 }
@@ -1945,7 +1994,7 @@ impl<'a> Simulator<'a> {
             }
         }
         for qi in 0..nq {
-            for &pid in &self.in_buf[qi] {
+            for pid in self.in_buf.iter(qi) {
                 self.audit_packet(a, pid, Some((qi as u32, false)), None)?;
             }
         }
@@ -1983,7 +2032,7 @@ impl<'a> Simulator<'a> {
         src_host: Option<u32>,
     ) -> Result<(), Violation> {
         let hop = self.arena.hop(pid) as usize;
-        let path = self.arena.path(pid);
+        let path = self.arena.route(pid);
         if let Some(h) = src_host {
             if hop != 0 {
                 return Err(a.violation(
@@ -2068,6 +2117,16 @@ impl<'a> Simulator<'a> {
     pub fn audit_corrupt_credit(&mut self, link: LinkId, vc: u16) {
         let qi = self.qi(link, vc) as usize;
         self.credits[qi] -= 1;
+    }
+
+    /// Test hook (`audit` feature): flips the occupancy bit of `(link,
+    /// vc)` at its in-port slot so the seeded-violation tests can verify
+    /// the auditor catches a mask that disagrees with its buffer.
+    #[cfg(feature = "audit")]
+    #[doc(hidden)]
+    pub fn audit_corrupt_occupancy(&mut self, link: LinkId, vc: u16) {
+        let port = self.graph.reverse_link(link) as usize;
+        self.vc_occ[port] ^= 1 << vc;
     }
 
     /// Test hook (`audit` feature): permanently blocks a host's
@@ -2874,6 +2933,29 @@ mod tests {
             assert!(msg.contains("audit violation: credit-conservation at cycle 0"), "{msg}");
             assert!(msg.contains("link 3"), "{msg}");
             assert!(msg.contains("vc 0"), "{msg}");
+        }
+
+        #[test]
+        fn corrupted_occupancy_bit_is_reported_with_invariant_and_link() {
+            // The mask lives at the receiving in-port's slot (the reverse
+            // link), and the check must look for it there.
+            let (g, p) = setup();
+            let t = table(p, PathSelection::Ksp(4));
+            let mut sim = Simulator::new(
+                &g,
+                p,
+                &t,
+                None,
+                Mechanism::Random,
+                uniform(&p),
+                0.1,
+                SimConfig::paper(),
+            )
+            .with_auditor(AuditConfig::default());
+            sim.audit_corrupt_occupancy(3, 0);
+            let msg = violation_message(sim);
+            assert!(msg.contains("audit violation: occupancy-mask at cycle 0"), "{msg}");
+            assert!(msg.contains("link 3 vc 0: vc_occ bit true but buffer holds 0"), "{msg}");
         }
 
         #[test]

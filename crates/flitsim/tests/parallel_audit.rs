@@ -81,6 +81,64 @@ fn corrupted_credit_same_verdict_across_thread_counts() {
     }
 }
 
+/// A corrupted occupancy bit is caught by the merged occupancy-mask
+/// check with the serial verdict. The mask is keyed by the receiving
+/// router's in-port slot, so the check must read it on the shard owning
+/// the link's destination, not its source: the corrupted link runs from
+/// router 0 into a router that other shards own at two or more threads.
+#[test]
+fn corrupted_occupancy_same_verdict_across_thread_counts() {
+    let p = RrgParams::new(12, 6, 4);
+    let g = test_util::graph(p, 21);
+    let t = test_util::all_pairs_table(p, 21, PathSelection::Ksp(4), 21);
+    let link = g.out_links(0).end - 1;
+    assert!(g.link_dst(link) >= 6, "pick a link crossing into another shard");
+    let expect = format!("link {link} vc 1: vc_occ bit true but buffer holds 0 packet(s)");
+    let serial_msg = violation_message(|| {
+        let mut sim = Simulator::new(
+            &g,
+            p,
+            &t,
+            None,
+            Mechanism::Random,
+            uniform(&p),
+            0.1,
+            SimConfig::paper(),
+        )
+        .with_auditor(AuditConfig::default());
+        sim.audit_corrupt_occupancy(link, 1);
+        sim.run();
+    });
+    assert!(serial_msg.contains("audit violation: occupancy-mask at cycle 0"), "{serial_msg}");
+    assert!(serial_msg.contains(&expect), "{serial_msg}");
+    for threads in [1usize, 2, 4, 8] {
+        let msg = violation_message(|| {
+            let mut sim = ParallelSimulator::new(
+                &g,
+                p,
+                &t,
+                None,
+                Mechanism::Random,
+                uniform(&p),
+                0.1,
+                SimConfig::paper(),
+                threads,
+            )
+            .with_auditor(AuditConfig::default());
+            sim.audit_corrupt_occupancy(link, 1);
+            sim.run();
+        });
+        assert!(
+            msg.contains("audit violation: occupancy-mask at cycle 0"),
+            "threads={threads}: {msg}"
+        );
+        assert!(msg.contains(&expect), "threads={threads}: {msg}");
+        if threads == 1 {
+            assert_eq!(msg, serial_msg, "single-shard diagnostic diverged from serial");
+        }
+    }
+}
+
 /// A blocked ejection port clogs the fabric until the forward-progress
 /// watchdog fires; the merged recorder must still carry the injection
 /// context and replay in cycle order.

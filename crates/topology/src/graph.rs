@@ -19,13 +19,21 @@ pub type LinkId = u32;
 
 /// Immutable undirected graph in CSR form.
 ///
-/// Adjacency lists are sorted by neighbor id, which makes link lookup a
-/// binary search and makes the deterministic variants of the routing
-/// algorithms reproducible across runs.
+/// Adjacency lists are sorted by neighbor id, which makes the deterministic
+/// variants of the routing algorithms reproducible across runs. Looking up
+/// the link `u -> v` by its endpoints ([`Graph::link_id`]) is a binary
+/// search over `u`'s adjacency; the geometry of a known link
+/// ([`Graph::link_dst`], [`Graph::link_src`], [`Graph::reverse_link`]) is
+/// one or two array reads, served by a reverse-link table built with the
+/// CSR arrays.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Graph {
     offsets: Vec<u32>,
     neighbors: Vec<NodeId>,
+    /// `reverse[l]` is the link id of the opposite direction of link `l`.
+    /// Derived from `offsets` and `neighbors`, so it adds nothing to
+    /// equality or the fingerprint.
+    reverse: Vec<LinkId>,
 }
 
 impl Graph {
@@ -85,14 +93,11 @@ impl Graph {
         self.neighbors(u).binary_search(&v).ok().map(|pos| self.offsets[u as usize] + pos as u32)
     }
 
-    /// Source node of a directed link (the `u` in `u -> v`).
-    ///
-    /// O(log n) via binary search over the CSR offsets.
+    /// Source node of a directed link (the `u` in `u -> v`): the
+    /// destination of its reverse link, two array reads.
     #[inline]
     pub fn link_src(&self, link: LinkId) -> NodeId {
-        // partition_point returns the first offset > link, so subtracting one
-        // lands on the owning node.
-        (self.offsets.partition_point(|&off| off <= link) - 1) as NodeId
+        self.neighbors[self.reverse[link as usize] as usize]
     }
 
     /// Destination node of a directed link (the `v` in `u -> v`).
@@ -107,12 +112,11 @@ impl Graph {
         self.offsets[u as usize]..self.offsets[u as usize + 1]
     }
 
-    /// Link id of the reverse direction `v -> u` of `u -> v`.
+    /// Link id of the reverse direction `v -> u` of `u -> v`, one array
+    /// read.
     #[inline]
     pub fn reverse_link(&self, link: LinkId) -> LinkId {
-        let u = self.link_src(link);
-        let v = self.link_dst(link);
-        self.link_id(v, u).expect("undirected graph must contain the reverse link")
+        self.reverse[link as usize]
     }
 
     /// Converts a node path `[a, b, c, ...]` into its directed link ids.
@@ -246,7 +250,22 @@ impl GraphBuilder {
             slice.sort_unstable();
             assert!(slice.windows(2).all(|w| w[0] != w[1]), "duplicate edge at node {u}");
         }
-        Graph { offsets, neighbors }
+        // Reverse links in O(links): scanning sources in ascending order
+        // visits the in-links of each `v` in ascending `u`, which is the
+        // order of `u` within `v`'s sorted adjacency, so a per-node
+        // cursor hands out each reverse position in turn.
+        cursor.copy_from_slice(&offsets[..self.n]);
+        let mut reverse = vec![0 as LinkId; acc as usize];
+        for u in 0..self.n {
+            for l in offsets[u]..offsets[u + 1] {
+                let v = neighbors[l as usize] as usize;
+                let r = cursor[v];
+                debug_assert_eq!(neighbors[r as usize] as usize, u);
+                reverse[l as usize] = r;
+                cursor[v] += 1;
+            }
+        }
+        Graph { offsets, neighbors, reverse }
     }
 }
 

@@ -85,6 +85,24 @@ proptest! {
     }
 
     #[test]
+    fn reverse_table_matches_binary_search_definition((n, edges) in edge_list()) {
+        let g = Graph::from_edges(n, &edges);
+        for u in 0..n as u32 {
+            for l in g.out_links(u) {
+                let v = g.link_dst(l);
+                // The definition the stored table replaces: look `v -> u`
+                // up by binary search over `v`'s sorted adjacency.
+                let expected = g.link_id(v, u).expect("undirected graph has the reverse");
+                let r = g.reverse_link(l);
+                prop_assert_eq!(r, expected, "link {} ({}->{})", l, u, v);
+                prop_assert_eq!(g.reverse_link(r), l);
+                prop_assert_eq!(g.link_dst(r), g.link_src(l));
+                prop_assert_eq!(g.link_src(l), u);
+            }
+        }
+    }
+
+    #[test]
     fn degrees_sum_to_twice_edges((n, edges) in edge_list()) {
         let g = Graph::from_edges(n, &edges);
         let total: usize = (0..n as u32).map(|u| g.degree(u)).sum();
